@@ -22,8 +22,11 @@
 //! prefetch observes the remaining latency (prefetch timeliness). In-flight
 //! L2 prefetch fills are bounded per core by
 //! [`SystemConfig::prefetch_mshrs`] — a full prefetch queue drops further
-//! candidates, as the hardware's would — which also keeps the simulator's
-//! fill table small however bursty the predictor.
+//! candidates, as the hardware's would. L1 stride-prefetch fills have no
+//! such bound: on a saturating stream they queue behind DRAM by the
+//! hundred thousand, and the fill table grows to hold them, then halves
+//! back toward its seeded size as the backlog drains (see
+//! [`crate::tables`]).
 
 use crate::cache::Cache;
 use crate::config::SystemConfig;
@@ -433,11 +436,14 @@ impl Machine {
         core_setup: Vec<(Box<dyn TraceSource>, AnyPrefetcher)>,
     ) -> Self {
         let cores = build_cores(&config, core_setup);
-        // In-flight fills are bounded: demands by the per-core load buffers,
-        // prefetches by the per-core prefetch MSHR budget. Seeding the arena
-        // just past that population keeps the whole table a few KB — every
-        // probe on the per-request hot path stays cache-resident — while
-        // growth remains the safety valve if a configuration outruns it.
+        // Demand fills are bounded by the per-core load buffers and L2
+        // prefetch fills by the per-core prefetch MSHR budget; seeding the
+        // arena just past that population keeps the table a few KB, so
+        // probes on the per-request hot path stay cache-resident. L1
+        // stride-prefetch fills are unbounded: on the stream phase of the
+        // blended benchmark trace they queue 183k deep behind a saturated
+        // DRAM (2^19 slots, 20 MiB). The table grows to hold them and
+        // halves back toward this seed once they drain.
         let pending_capacity = (config.cores
             * (config.prefetch_mshrs + config.core.load_buffer_entries + 16))
             .max(128);
@@ -865,7 +871,7 @@ impl Machine {
             core.inflight_prefetches = 0;
             core.last_memory_completion = 0;
         }
-        self.fab.pending.clear();
+        self.fab.pending.reset();
         self.fab.ready_queue = ReadyQueue::new();
         result
     }
@@ -875,7 +881,7 @@ impl Machine {
     /// cache contents, predictor state or trace position.
     fn begin_interval(&mut self) {
         self.cycle = 0;
-        self.fab.pending.clear();
+        self.fab.pending.reset();
         self.fab.ready_queue = ReadyQueue::new();
         self.fab.pollution = PollutionTracker::default();
         self.fab.llc.reset_stats();
@@ -1045,7 +1051,7 @@ impl Machine {
         pollution.counts.prefetched_before_use = reader.get_u64()?;
         pollution.counts.bad_pollution = reader.get_u64()?;
         self.fab.pollution = pollution;
-        self.fab.pending.clear();
+        self.fab.pending.reset();
         self.fab.ready_queue = ReadyQueue::new();
         reader.expect_end()?;
         Ok(())
@@ -1514,7 +1520,9 @@ impl std::fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use crate::config::DramSpeedGrade;
+    use crate::dram::DramStats;
     use dspatch_prefetchers::{StreamConfig, StreamPrefetcher};
     use dspatch_trace::{PatternGenerator, SpatialPatternGen, StreamGen, Trace};
     use dspatch_types::NullPrefetcher;
@@ -1919,5 +1927,149 @@ mod tests {
             .with_core(stream_trace(10, 1), NullPrefetcher::new())
             .with_core(stream_trace(10, 2), NullPrefetcher::new())
             .run();
+    }
+
+    /// The blended stream / spatial / pointer-chase trace of the harness's
+    /// `perf::snapshot_single_source`: the same generators, seeds and
+    /// phase lengths.
+    fn snapshot_blend(accesses: usize) -> dspatch_trace::ChainSource {
+        use dspatch_trace::{GeneratorSpec, PointerChaseGen, SynthSource};
+        let third = accesses / 3;
+        let phases = [
+            (
+                GeneratorSpec::Stream(StreamGen {
+                    streams: 2,
+                    gap: 48,
+                    store_percent: 10,
+                }),
+                third,
+            ),
+            (
+                GeneratorSpec::Spatial(SpatialPatternGen {
+                    layouts: 8,
+                    density: 12,
+                    reorder_window: 4,
+                    working_set_pages: 1 << 16,
+                    gap: 40,
+                }),
+                third,
+            ),
+            (
+                GeneratorSpec::PointerChase(PointerChaseGen {
+                    nodes: 1 << 14,
+                    node_bytes: 192,
+                    gap: 36,
+                }),
+                accesses - 2 * third,
+            ),
+        ];
+        dspatch_trace::ChainSource::new(
+            "perf-snapshot-single",
+            phases
+                .into_iter()
+                .zip(0xD5..)
+                .map(|((spec, len), seed)| {
+                    Box::new(SynthSource::new("phase", spec, seed, len)) as Box<dyn TraceSource>
+                })
+                .collect(),
+        )
+    }
+
+    /// Pins DSPatch+SPP on the snapshot blend at a length whose stream
+    /// phase backs L1 stride-prefetch fills up behind DRAM, so the
+    /// in-flight fill table grows past its seeded size and shrinks back.
+    /// The values were captured with a table that never shrank: a table's
+    /// capacity must never reach a simulated statistic.
+    #[test]
+    fn dspatch_spp_snapshot_blend_is_pinned() {
+        let mut machine = SimulationBuilder::new(SystemConfig::single_thread())
+            .with_core(
+                snapshot_blend(30_000),
+                dspatch_prefetchers::any::composites::dspatch_plus_spp(),
+            )
+            .into_machine();
+        let seeded = machine.fab.pending.slots();
+        let mut peak = seeded;
+        while !machine.cores.iter().all(|c| c.finished) {
+            machine.step();
+            peak = peak.max(machine.fab.pending.slots());
+            machine.skip_idle_cycles();
+        }
+        assert!(peak > seeded, "the fill table never outgrew its seed");
+        assert_eq!(
+            machine.fab.pending.slots(),
+            seeded,
+            "the drained table shrinks back"
+        );
+        // Every core has finished, so `run` only assembles the result.
+        let result = machine.run();
+
+        assert_eq!(result.cycles, 3_460_196);
+        let core = &result.cores[0];
+        assert_eq!(core.instructions, 1_270_000);
+        assert_eq!(core.finish_cycle, 3_460_196);
+        assert_eq!(
+            core.l1,
+            CacheStats {
+                demand_hits: 9_992,
+                demand_misses: 20_008,
+                demand_fills: 26_967,
+                prefetch_fills: 9_996,
+                prefetch_first_uses: 9_987,
+                prefetch_unused_evictions: 4,
+            }
+        );
+        assert_eq!(
+            core.l2,
+            CacheStats {
+                demand_hits: 1_748,
+                demand_misses: 28_256,
+                demand_fills: 28_256,
+                prefetch_fills: 28_881,
+                prefetch_first_uses: 1_748,
+                prefetch_unused_evictions: 26_944,
+            }
+        );
+        assert_eq!(
+            core.accounting,
+            PrefetchAccounting {
+                l2_demand_accesses: 20_008,
+                covered: 5_041,
+                uncovered: 14_967,
+                prefetches_issued: 34_744,
+                prefetches_used: 5_041,
+                prefetches_unused: 29_703,
+            }
+        );
+        assert_eq!(
+            result.llc,
+            CacheStats {
+                demand_hits: 391,
+                demand_misses: 27_865,
+                demand_fills: 27_865,
+                prefetch_fills: 29_130,
+                prefetch_first_uses: 391,
+                prefetch_unused_evictions: 21_421,
+            }
+        );
+        assert_eq!(
+            result.dram,
+            DramStats {
+                cas_commands: 57_729,
+                row_hits: 19_610,
+                row_misses: 38_119,
+                prefetch_accesses: 32_392,
+                utilization_sum: 996.752_616_766_609_3,
+                windows: 4_004,
+            }
+        );
+        assert_eq!(
+            result.pollution,
+            PollutionBreakdown {
+                no_reuse: 11_803,
+                prefetched_before_use: 35,
+                bad_pollution: 708,
+            }
+        );
     }
 }

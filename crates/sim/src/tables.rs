@@ -13,8 +13,18 @@
 //! insert/remove churn — millions of fills over a few hundred live entries —
 //! never degrades probe lengths). Capacity is seeded from the MSHR
 //! configuration and doubles at 1/2 load — plain linear probing wants the
-//! headroom (there is no SIMD group scan to ride out long clusters), and
-//! at 8 bytes per slot the memory cost is irrelevant.
+//! headroom (there is no SIMD group scan to ride out long clusters).
+//!
+//! The populations are not always small: L1 stride-prefetch fills reach
+//! DRAM without an MSHR bound, and on a saturating stream they queue
+//! 183k deep, growing the fill table to 2^19 slots (20 MiB of keys and
+//! values). So a table also halves when a removal leaves it below 1/8
+//! load, never below its seeded slot count. A halved table sits below 1/4
+//! load, well clear of the 1/2 growth point, so a population hovering at
+//! either threshold cannot make the table flip between sizes; and once a
+//! backlog drains, every probe lands in a cache-resident slab again.
+//! Contents never depend on capacity, so neither does any simulated
+//! statistic.
 //!
 //! Keys are cache-line numbers (byte address >> 6), which can never equal
 //! the reserved [`EMPTY`] sentinel of `u64::MAX`.
@@ -47,7 +57,7 @@ impl<V: Copy> VacantSlot<'_, V> {
         self.table.vals[self.index] = value;
         self.table.len += 1;
         if self.table.len * 2 > self.table.keys.len() {
-            self.table.grow();
+            self.table.resize(self.table.keys.len() * 2);
         }
     }
 }
@@ -62,6 +72,8 @@ pub struct LineTable<V> {
     /// Right-shift applied to the hash product: `64 - log2(capacity)`.
     shift: u32,
     len: usize,
+    /// The slot count the table was created with; it never shrinks below.
+    seed_slots: usize,
     /// A copy of the default value used to (re)initialize slots.
     fill: V,
 }
@@ -70,13 +82,17 @@ impl<V: Copy> LineTable<V> {
     /// Creates a table with room for at least `capacity` entries before the
     /// first growth (sized up to the next power of two at 1/2 load).
     pub fn with_capacity(capacity: usize, fill: V) -> Self {
-        let slots = (capacity.max(8) * 2).next_power_of_two();
+        Self::with_slots((capacity.max(8) * 2).next_power_of_two(), fill)
+    }
+
+    fn with_slots(slots: usize, fill: V) -> Self {
         Self {
             keys: vec![EMPTY; slots],
             vals: vec![fill; slots],
             mask: slots - 1,
             shift: 64 - slots.trailing_zeros(),
             len: 0,
+            seed_slots: slots,
             fill,
         }
     }
@@ -99,6 +115,18 @@ impl<V: Copy> LineTable<V> {
     pub fn clear(&mut self) {
         self.keys.fill(EMPTY);
         self.len = 0;
+    }
+
+    /// Removes every entry and returns to the seeded slot count, releasing
+    /// whatever a backlog grew. O(seeded capacity).
+    pub(crate) fn reset(&mut self) {
+        *self = Self::with_slots(self.seed_slots, self.fill);
+    }
+
+    /// Current slot count (a power of two).
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.keys.len()
     }
 
     #[inline]
@@ -192,12 +220,15 @@ impl<V: Copy> LineTable<V> {
             }
             i = (i + 1) & self.mask;
         }
+        if self.len * 8 < self.keys.len() && self.keys.len() > self.seed_slots {
+            self.resize(self.keys.len() / 2);
+        }
         Some(value)
     }
 
+    /// Rehashes every entry into a fresh slab of `new_slots` slots.
     #[cold]
-    fn grow(&mut self) {
-        let new_slots = self.keys.len() * 2;
+    fn resize(&mut self, new_slots: usize) {
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_slots]);
         let old_vals = std::mem::replace(&mut self.vals, vec![self.fill; new_slots]);
         self.mask = new_slots - 1;
@@ -266,18 +297,25 @@ impl LineSet {
 mod tests {
     use super::*;
 
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state
+    }
+
     /// Differential-tests the table against `std::collections::HashMap`
     /// through a long, deterministic insert/remove/update churn with a
-    /// deliberately clustered key distribution.
+    /// deliberately clustered key distribution, then through repeated
+    /// backlog phases that grow it far past its seed and drain it empty.
     #[test]
     fn behaves_like_a_hash_map_under_churn() {
         let mut table: LineTable<u64> = LineTable::with_capacity(16, 0);
+        let seeded = table.slots();
         let mut reference = std::collections::HashMap::new();
         let mut state = 0x0123_4567_89AB_CDEF_u64;
         for step in 0..200_000u64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
+            let state = lcg(&mut state);
             // Cluster keys into a small range so probe chains actually form.
             let key = (state >> 48) % 4096;
             match state % 4 {
@@ -303,6 +341,92 @@ mod tests {
         }
         for (&key, &val) in &reference {
             assert_eq!(table.get_mut(key).copied(), Some(val));
+        }
+
+        for phase in 0..4u64 {
+            let mut live: Vec<u64> = reference.keys().copied().collect();
+            live.sort_unstable();
+            while reference.len() < 50_000 {
+                let key = lcg(&mut state) >> 40;
+                let previous = reference.insert(key, phase);
+                assert_eq!(table.insert(key, phase), previous);
+                if previous.is_none() {
+                    live.push(key);
+                }
+            }
+            assert!(table.slots() > seeded);
+            for (i, &key) in live.iter().enumerate() {
+                assert_eq!(table.remove(key), reference.remove(&key));
+                assert_eq!(table.remove(key), None);
+                assert_eq!(table.len(), reference.len());
+                if i % 1000 == 0 {
+                    for &later in live[i + 1..].iter().take(16) {
+                        assert_eq!(
+                            table.get_mut(later).copied(),
+                            reference.get(&later).copied()
+                        );
+                    }
+                }
+            }
+            assert!(table.is_empty());
+            assert_eq!(table.slots(), seeded, "drained table shrinks to its seed");
+        }
+    }
+
+    /// Walks the live count to `target`, inserting fresh keys or removing
+    /// the oldest, and returns how many times the slot count changed.
+    fn walk_to(
+        table: &mut LineTable<u64>,
+        live: &mut std::collections::VecDeque<u64>,
+        next_key: &mut u64,
+        target: usize,
+    ) -> usize {
+        let mut resizes = 0;
+        while live.len() != target {
+            let before = table.slots();
+            if live.len() < target {
+                table.insert(*next_key, 0);
+                live.push_back(*next_key);
+                *next_key += 1;
+            } else {
+                let key = live.pop_front().expect("live count above target");
+                assert_eq!(table.remove(key), Some(0));
+            }
+            resizes += usize::from(table.slots() != before);
+        }
+        resizes
+    }
+
+    /// A live count oscillating across either resize threshold resizes the
+    /// table once, not once per crossing: a shrink lands below 1/4 load and
+    /// a growth at 1/4 load, so neither brings the other's threshold near.
+    #[test]
+    fn resizing_has_hysteresis() {
+        let mut table: LineTable<u64> = LineTable::with_capacity(8, 0);
+        let mut live = std::collections::VecDeque::new();
+        let mut next_key = 0;
+        walk_to(&mut table, &mut live, &mut next_key, 1000);
+        let grown = table.slots();
+
+        let shrink_at = grown / 8;
+        let mut resizes = 0;
+        for _ in 0..1000 {
+            resizes += walk_to(&mut table, &mut live, &mut next_key, shrink_at - 4);
+            resizes += walk_to(&mut table, &mut live, &mut next_key, shrink_at + 4);
+        }
+        assert_eq!(resizes, 1);
+        assert_eq!(table.slots(), grown / 2);
+
+        let grow_at = table.slots() / 2;
+        let mut resizes = 0;
+        for _ in 0..1000 {
+            resizes += walk_to(&mut table, &mut live, &mut next_key, grow_at + 4);
+            resizes += walk_to(&mut table, &mut live, &mut next_key, grow_at - 4);
+        }
+        assert_eq!(resizes, 1);
+        assert_eq!(table.slots(), grown);
+        for &key in &live {
+            assert_eq!(table.get_mut(key).copied(), Some(0));
         }
     }
 
@@ -355,6 +479,10 @@ mod tests {
         for i in 0..10_000u64 {
             assert_eq!(table.get_mut(i).copied(), Some(i * 2));
         }
+        table.reset();
+        assert!(table.is_empty());
+        assert_eq!(table.slots(), LineTable::with_capacity(8, 0u64).slots());
+        assert_eq!(table.get_mut(7), None);
     }
 }
 
