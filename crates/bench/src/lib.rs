@@ -28,7 +28,6 @@ pub fn bench_scale() -> RunScale {
         workloads_per_category: 1,
         mixes: 2,
         threads: dspatch_harness::runner::default_threads(),
-        sim_workers: 0,
         sampling: None,
     }
 }
@@ -40,7 +39,6 @@ pub fn measured_scale() -> RunScale {
         workloads_per_category: 1,
         mixes: 1,
         threads: 1,
-        sim_workers: 0,
         sampling: None,
     }
 }

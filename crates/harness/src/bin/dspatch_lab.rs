@@ -21,11 +21,10 @@
 //! memory, so multi-gigabyte traces are fine. `--out PATH` writes the
 //! report to a file instead of stdout. `--scale` beats a spec file's
 //! embedded `"scale"`; the default is `smoke`. `--threads` overrides the
-//! worker count (presets default to the machine's available parallelism).
-//! `--parallel-cores N` runs every multi-core simulation on the parallel
-//! epoch engine with N worker threads each (results are bit-identical to
-//! the serial engine); the campaign executor divides `--threads` by N so
-//! the two levels share one thread budget.
+//! worker count (presets default to the machine's available parallelism):
+//! cells run in parallel, each simulation — single- or multi-core — on one
+//! thread of the exact cycle-interleaved engine, so the output is the same
+//! for every `--threads`.
 //!
 //! `--sample warmup=N,interval=N,n=K[,seed=S]` switches `--figure`/`--spec`
 //! runs to sampled simulation: each workload fast-forwards through a
@@ -73,7 +72,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: dspatch-lab (--figure NAME | --spec FILE.json | --trace-file FILE | --list | --template)\n\
          \x20                [--scale smoke|quick|full] [--format table|json|csv]\n\
-         \x20                [--threads N] [--parallel-cores N] [--prefetchers KIND[,KIND...]] [--out PATH]\n\
+         \x20                [--threads N] [--prefetchers KIND[,KIND...]] [--out PATH]\n\
          \x20                [--journal FILE | --resume FILE] [--retries N] [--store DIR]\n\
          \x20                [--sample warmup=N,interval=N,n=K[,seed=S]] [--checkpoint-dir DIR]\n\
          \x20      dspatch-lab query --store DIR [--where FIELD<OP>VALUE]... [--FIELD VALUE]...\n\
@@ -115,7 +114,6 @@ fn main() {
     let mut format = Format::Table;
     let mut format_set = false;
     let mut threads: Option<usize> = None;
-    let mut sim_workers: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut journal: Option<String> = None;
     let mut resume: Option<String> = None;
@@ -152,13 +150,6 @@ fn main() {
                     value("--threads")
                         .parse()
                         .unwrap_or_else(|_| fail("--threads must be an integer")),
-                )
-            }
-            "--parallel-cores" => {
-                sim_workers = Some(
-                    value("--parallel-cores")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--parallel-cores must be an integer")),
                 )
             }
             "--out" => out = Some(value("--out")),
@@ -203,9 +194,8 @@ fn main() {
     }
     // Replay always runs the whole file once per prefetcher on one thread,
     // so silently accepting these flags would mislead.
-    if trace_file.is_some() && (scale_name.is_some() || threads.is_some() || sim_workers.is_some())
-    {
-        fail("--scale/--threads/--parallel-cores do not apply to --trace-file (the whole trace replays once per prefetcher, single-core)");
+    if trace_file.is_some() && (scale_name.is_some() || threads.is_some()) {
+        fail("--scale/--threads do not apply to --trace-file (the whole trace replays once per prefetcher, single-core)");
     }
     if journal.is_some() && resume.is_some() {
         fail("--journal and --resume are mutually exclusive (--resume appends to the same file)");
@@ -235,13 +225,12 @@ fn main() {
     if (list || template)
         && (scale_name.is_some()
             || threads.is_some()
-            || sim_workers.is_some()
             || format_set
             || sample.is_some()
             || checkpoint_dir.is_some())
     {
         fail(
-            "--scale/--threads/--parallel-cores/--format/--sample/--checkpoint-dir do not \
+            "--scale/--threads/--format/--sample/--checkpoint-dir do not \
              apply to --list/--template",
         );
     }
@@ -270,8 +259,8 @@ fn main() {
             (Some(name), None) => {
                 let id = FigureId::parse(name)
                     .unwrap_or_else(|| fail(&format!("unknown figure '{name}' (see --list)")));
-                let scale = resolve_scale(scale_name.as_deref(), None, threads, sim_workers)
-                    .with_sampling(sampling);
+                let scale =
+                    resolve_scale(scale_name.as_deref(), None, threads).with_sampling(sampling);
                 let table = id.run(&scale);
                 match format {
                     Format::Table => table.render(),
@@ -285,20 +274,15 @@ fn main() {
                 let spec = CampaignSpec::parse(&text).unwrap_or_else(|e| {
                     fail_typed(&HarnessError::spec(format!("invalid spec {path}: {e}")))
                 });
-                let scale = resolve_scale(
-                    scale_name.as_deref(),
-                    spec.scale.as_ref(),
-                    threads,
-                    sim_workers,
-                )
-                .with_sampling(sampling.or_else(|| {
-                    // A spec file's embedded custom scale may carry its own
-                    // sampling block; the flag wins when both are present.
-                    spec.scale
-                        .as_ref()
-                        .and_then(|s| s.resolve().ok())
-                        .and_then(|s| s.sampling)
-                }));
+                let scale = resolve_scale(scale_name.as_deref(), spec.scale.as_ref(), threads)
+                    .with_sampling(sampling.or_else(|| {
+                        // A spec file's embedded custom scale may carry its own
+                        // sampling block; the flag wins when both are present.
+                        spec.scale
+                            .as_ref()
+                            .and_then(|s| s.resolve().ok())
+                            .and_then(|s| s.sampling)
+                    }));
                 let mut opts = ExecOptions::default();
                 if let Some(dir) = &checkpoint_dir {
                     opts.checkpoint_dir = Some(dir.into());
@@ -604,12 +588,11 @@ fn run_store(args: &[String]) {
 }
 
 /// `--scale` wins, then a spec file's embedded scale, then smoke.
-/// `--threads` and `--parallel-cores` override whichever was chosen.
+/// `--threads` overrides whichever was chosen.
 fn resolve_scale(
     flag: Option<&str>,
     embedded: Option<&dspatch_harness::campaign::ScaleSpec>,
     threads: Option<usize>,
-    sim_workers: Option<usize>,
 ) -> RunScale {
     let mut scale = match (flag, embedded) {
         (Some(name), _) => RunScale::preset(name)
@@ -621,9 +604,6 @@ fn resolve_scale(
     };
     if let Some(threads) = threads {
         scale = scale.with_threads(threads);
-    }
-    if let Some(workers) = sim_workers {
-        scale = scale.with_sim_workers(workers);
     }
     scale
 }

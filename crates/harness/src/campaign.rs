@@ -638,9 +638,6 @@ pub enum ScaleSpec {
         mixes: usize,
         /// Worker threads; `None` defaults to the machine's parallelism.
         threads: Option<usize>,
-        /// Epoch workers inside each multi-core simulation (0 = serial
-        /// multi-core engine).
-        sim_workers: usize,
         /// Interval-sampling plan (`None` = exact simulation).
         sampling: Option<SamplingPlan>,
     },
@@ -661,14 +658,12 @@ impl ScaleSpec {
                 workloads_per_category,
                 mixes,
                 threads,
-                sim_workers,
                 sampling,
             } => Ok(RunScale {
                 accesses_per_workload: *accesses_per_workload,
                 workloads_per_category: *workloads_per_category,
                 mixes: *mixes,
                 threads: threads.unwrap_or_else(default_threads).max(1),
-                sim_workers: *sim_workers,
                 sampling: *sampling,
             }),
         }
@@ -683,7 +678,6 @@ impl ScaleSpec {
                 workloads_per_category,
                 mixes,
                 threads,
-                sim_workers,
                 sampling,
             } => {
                 let mut entries = vec![
@@ -699,9 +693,6 @@ impl ScaleSpec {
                 ];
                 if let Some(threads) = threads {
                     entries.push(("threads".to_owned(), Json::num(*threads as f64)));
-                }
-                if *sim_workers > 0 {
-                    entries.push(("sim_workers".to_owned(), Json::num(*sim_workers as f64)));
                 }
                 if let Some(plan) = sampling {
                     entries.push((
@@ -738,7 +729,6 @@ impl ScaleSpec {
                 "workloads_per_category",
                 "mixes",
                 "threads",
-                "sim_workers",
                 "sampling",
             ],
             "custom scale",
@@ -761,13 +751,6 @@ impl ScaleSpec {
                         .ok_or("custom scale 'threads' must be a non-negative integer")?
                         as usize,
                 ),
-            },
-            sim_workers: match json.get("sim_workers") {
-                None | Some(Json::Null) => 0,
-                Some(workers) => workers
-                    .as_u64()
-                    .ok_or("custom scale 'sim_workers' must be a non-negative integer")?
-                    as usize,
             },
             sampling: match json.get("sampling") {
                 None | Some(Json::Null) => None,
@@ -1795,11 +1778,10 @@ fn execute_cells(
                 }
                 let index = jobs.len();
                 job_index.insert(key.clone(), index);
-                let config = scale.apply_sim_workers(cell.config.clone());
                 let fingerprint = crate::store::cell_fingerprint_sampled(
                     &target_key,
                     &format!("{sel:?}"),
-                    &config,
+                    &cell.config,
                     scale.accesses_per_workload,
                     scale.sampling.as_ref(),
                 );
@@ -1808,7 +1790,7 @@ fn execute_cells(
                     fingerprint,
                     target: target.clone(),
                     sel,
-                    config,
+                    config: cell.config.clone(),
                     config_label: cell.config_label.clone(),
                     warm: None,
                 });
@@ -2015,17 +1997,7 @@ fn execute_cells(
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].target.cores()));
 
-    // Campaign-level workers and intra-simulation epoch workers share one
-    // thread budget: when the cells request `parallel_cores`, each job may
-    // spin up `effective_workers()` threads of its own, so the outer pool
-    // shrinks by that factor instead of multiplying against it.
-    let max_intra = jobs
-        .iter()
-        .map(|job| job.config.effective_workers())
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let threads = (scale.threads / max_intra).clamp(1, jobs.len().max(1));
+    let threads = scale.threads.clamp(1, jobs.len().max(1));
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let retries = AtomicUsize::new(0);
@@ -2230,7 +2202,6 @@ mod tests {
             workloads_per_category: 1,
             mixes: 1,
             threads: 2,
-            sim_workers: 0,
             sampling: None,
         }
     }
@@ -2494,6 +2465,11 @@ mod tests {
         assert!(PrefetcherSel::from_json(&Json::str("warp-drive")).is_err());
         assert!(TargetSelector::from_json(&Json::str("everything")).is_err());
         assert!(ConfigSpec::from_json(&Json::obj([("base", Json::str("dual"))])).is_err());
+        // A scale key the executor does not know is rejected, never ignored.
+        let retired = r#"{"accesses_per_workload": 100, "workloads_per_category": 1,
+                          "mixes": 1, "sim_workers": 2}"#;
+        let err = ScaleSpec::from_json(&Json::parse(retired).unwrap()).unwrap_err();
+        assert!(err.contains("unknown key 'sim_workers'"), "got: {err}");
     }
 
     #[test]

@@ -970,7 +970,6 @@ mod tests {
             workloads_per_category: 1,
             mixes: 1,
             threads: 4,
-            sim_workers: 0,
             sampling: None,
         }
     }

@@ -188,7 +188,6 @@ mod tests {
             workloads_per_category: 1,
             mixes: 1,
             threads: 1,
-            sim_workers: 0,
             sampling: None,
         };
         assert!(FigureId::Table1.run(&scale).render().contains("SPT"));

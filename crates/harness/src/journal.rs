@@ -51,6 +51,8 @@ const JOURNAL_VERSION: u64 = 2;
 const JOURNAL_MIN_VERSION: u64 = 1;
 
 /// FNV-1a 64-bit over a byte stream — stable, dependency-free fingerprint.
+/// The one fingerprint hash: journal, result-store and checkpoint
+/// identities all go through it.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &byte in bytes {
@@ -66,12 +68,11 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// a journal written on an 8-thread box resumes on a 2-thread one.
 pub fn campaign_fingerprint(spec_json: &Json, scale: &RunScale) -> String {
     let mut identity = format!(
-        "{}|a{}|w{}|m{}|s{}",
+        "{}|a{}|w{}|m{}",
         spec_json.render_compact(),
         scale.accesses_per_workload,
         scale.workloads_per_category,
         scale.mixes,
-        scale.sim_workers,
     );
     // Sampled and exact runs of the same spec must never alias: the plan
     // joins the identity, but only when present so existing exact journals
@@ -685,7 +686,6 @@ mod tests {
             workloads_per_category: 1,
             mixes: 1,
             threads: 8,
-            sim_workers: 0,
             sampling: None,
         };
         let mut rethreaded = scale;

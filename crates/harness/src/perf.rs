@@ -89,13 +89,6 @@ pub struct SnapshotReport {
     pub sampled_single_thread: ScenarioThroughput,
     /// Four cores (DSPatch+SPP each) sharing LLC and DRAM.
     pub four_core: ScenarioThroughput,
-    /// The same 4-core scenario on the parallel epoch engine
-    /// (`parallel_cores = true`), one row per epoch-worker count. The
-    /// `workers = 1` row prices the bounded-lag schedule itself (no
-    /// threading); the higher rows price the actual thread scaling. Every
-    /// row simulates the identical result — the engine is bit-identical
-    /// across worker counts — so the rows differ only in wall-clock.
-    pub multi_core_parallel: Vec<(usize, ScenarioThroughput)>,
     /// One single-thread row per registry prefetcher (same trace and
     /// machine as the headline rows), keyed by
     /// [`PrefetcherKind::spec_name`]. This is what attributes throughput
@@ -142,14 +135,6 @@ impl SnapshotReport {
             ),
             ("four_core", scenario(&self.four_core)),
             (
-                "multi_core_parallel",
-                Json::obj(
-                    self.multi_core_parallel
-                        .iter()
-                        .map(|(workers, s)| (format!("workers_{workers}"), scenario(s))),
-                ),
-            ),
-            (
                 "per_prefetcher",
                 Json::obj(
                     self.per_prefetcher
@@ -178,13 +163,6 @@ impl SnapshotReport {
             " | sampled 1T: {:.0} eff acc/s",
             self.sampled_single_thread.accesses_per_sec()
         ));
-        for (workers, s) in &self.multi_core_parallel {
-            line.push_str(&format!(
-                " | 4-core {}w: {:.0} acc/s",
-                workers,
-                s.accesses_per_sec()
-            ));
-        }
         line
     }
 }
@@ -400,31 +378,6 @@ pub fn run_four_core_snapshot(accesses_per_core: usize) -> ScenarioThroughput {
     })
 }
 
-/// Runs the 4-core snapshot on the parallel epoch engine with a fixed
-/// worker count, and times it. The simulated result is bit-identical to
-/// [`run_four_core_snapshot`]'s semantics on the epoch schedule for every
-/// `workers`, so rows differ only in wall-clock.
-pub fn run_four_core_parallel_snapshot(
-    accesses_per_core: usize,
-    workers: usize,
-) -> ScenarioThroughput {
-    let traces = snapshot_multi_traces(accesses_per_core);
-    let count = traces.iter().map(|t| t.records.len() as u64).sum();
-    let mut config = SystemConfig::multi_programmed();
-    config.parallel_cores = true;
-    config.parallel_workers = workers;
-    measure(count, move || {
-        let mut builder = SimulationBuilder::new(config);
-        for trace in traces {
-            builder = builder.with_core(trace, dspatch_plus_spp());
-        }
-        builder.run().cycles
-    })
-}
-
-/// The epoch-worker counts measured by the `multi_core_parallel` rows.
-pub const PARALLEL_WORKER_ROWS: [usize; 3] = [1, 2, 4];
-
 /// Runs all three snapshot scenarios. `repeats` > 1 keeps the best (lowest
 /// wall-clock) run per scenario, damping scheduler noise.
 pub fn run_snapshot(
@@ -465,22 +418,12 @@ pub fn run_snapshot(
         streaming_single_thread: best(&|| run_streaming_snapshot(single_accesses)),
         sampled_single_thread: best(&|| run_sampled_snapshot(single_accesses)),
         four_core: best(&|| run_four_core_snapshot(per_core_accesses)),
-        multi_core_parallel: PARALLEL_WORKER_ROWS
-            .iter()
-            .map(|&workers| {
-                (
-                    workers,
-                    best(&|| run_four_core_parallel_snapshot(per_core_accesses, workers)),
-                )
-            })
-            .collect(),
         per_prefetcher,
     }
 }
 
 /// Flattens a snapshot JSON document into `(row name, accesses_per_sec)`
-/// pairs — the headline scenarios plus the `multi_core_parallel.*` and
-/// `per_prefetcher.*` sub-rows.
+/// pairs — the headline scenarios plus the `per_prefetcher.*` sub-rows.
 pub fn throughput_rows(doc: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut push = |name: String, row: &Json| {
@@ -497,11 +440,6 @@ pub fn throughput_rows(doc: &Json) -> Vec<(String, f64)> {
     ] {
         if let Some(row) = doc.get(name) {
             push(name.to_owned(), row);
-        }
-    }
-    if let Some(Json::Obj(entries)) = doc.get("multi_core_parallel") {
-        for (name, row) in entries {
-            push(format!("multi_core_parallel.{name}"), row);
         }
     }
     if let Some(Json::Obj(entries)) = doc.get("per_prefetcher") {
@@ -642,23 +580,6 @@ mod tests {
         );
         assert_eq!(report.four_core.accesses, 800);
         assert!(report.dspatch_spp_single_thread.cycles > 0);
-        // One row per configured worker count, and every worker count
-        // simulates the identical run: same accesses, same cycles.
-        assert_eq!(
-            report
-                .multi_core_parallel
-                .iter()
-                .map(|(w, _)| *w)
-                .collect::<Vec<_>>(),
-            PARALLEL_WORKER_ROWS.to_vec()
-        );
-        for (workers, s) in &report.multi_core_parallel {
-            assert_eq!(s.accesses, 800, "workers_{workers} row accesses");
-            assert_eq!(
-                s.cycles, report.multi_core_parallel[0].1.cycles,
-                "workers_{workers} must simulate the same cycles"
-            );
-        }
         // Same records, same machine: the streaming and materialized rows
         // must simulate the same number of cycles.
         assert_eq!(
@@ -672,8 +593,6 @@ mod tests {
         assert!(json.contains("\"streaming_single_thread\""));
         assert!(json.contains("\"sampled_single_thread\""));
         assert!(json.contains("\"four_core\""));
-        assert!(json.contains("\"multi_core_parallel\""));
-        assert!(json.contains("\"workers_4\""));
         let parsed = Json::parse(&json).expect("snapshot JSON is valid");
         assert_eq!(
             parsed

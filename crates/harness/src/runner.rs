@@ -186,12 +186,6 @@ pub struct RunScale {
     pub mixes: usize,
     /// Number of worker threads used to run workloads in parallel.
     pub threads: usize,
-    /// Epoch-worker threads **inside** each multi-core simulation
-    /// (`SystemConfig::parallel_cores`): 0 leaves multi-core cells on the
-    /// single-threaded engine, N > 0 runs them with N epoch workers. The
-    /// result is bit-identical either way; the campaign executor divides
-    /// [`RunScale::threads`] by this so the two levels share one budget.
-    pub sim_workers: usize,
     /// Interval-sampling plan: `None` runs every access in detail (exact),
     /// `Some` fast-forwards through functional warm-up and measures only
     /// the plan's intervals (see [`crate::sampling`]). Sampled scales are
@@ -207,7 +201,6 @@ impl RunScale {
             workloads_per_category: 1,
             mixes: 2,
             threads: default_threads(),
-            sim_workers: 0,
             sampling: None,
         }
     }
@@ -220,7 +213,6 @@ impl RunScale {
             workloads_per_category: 2,
             mixes: 4,
             threads: default_threads(),
-            sim_workers: 0,
             sampling: None,
         }
     }
@@ -232,7 +224,6 @@ impl RunScale {
             workloads_per_category: 0,
             mixes: 0,
             threads: default_threads(),
-            sim_workers: 0,
             sampling: None,
         }
     }
@@ -254,35 +245,10 @@ impl RunScale {
         self
     }
 
-    /// Enables the parallel multi-core engine with `workers` epoch workers
-    /// per multi-core simulation (0 disables it again).
-    pub fn with_sim_workers(mut self, workers: usize) -> Self {
-        self.sim_workers = workers;
-        self
-    }
-
     /// Attaches (or clears) an interval-sampling plan.
     pub fn with_sampling(mut self, plan: Option<crate::sampling::SamplingPlan>) -> Self {
         self.sampling = plan;
         self
-    }
-
-    /// Applies [`RunScale::sim_workers`] to a concrete system
-    /// configuration: multi-core configs get `parallel_cores` switched on
-    /// with the requested worker count, single-core configs (and
-    /// `sim_workers == 0`) pass through untouched.
-    pub fn apply_sim_workers(&self, mut config: SystemConfig) -> SystemConfig {
-        if self.sim_workers > 0 && config.cores > 1 {
-            config.parallel_cores = true;
-            config.parallel_workers = self.sim_workers;
-            // Pin the epoch length explicitly so the applied config passes
-            // `SystemConfig::validate` (which rejects 0 = auto on parallel
-            // configs). Same value the engine would pick for 0.
-            if config.parallel_epoch_cycles == 0 {
-                config.parallel_epoch_cycles = config.default_epoch_cycles();
-            }
-        }
-        config
     }
 
     /// Applies the per-category workload cap to a workload list.

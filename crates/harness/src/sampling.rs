@@ -437,16 +437,7 @@ pub fn checkpoint_token(target_key: &str, config: &SystemConfig, plan: &Sampling
         config,
         plan.warmup_accesses
     );
-    format!("{:016x}", fnv1a(identity.as_bytes()))
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    format!("{:016x}", crate::journal::fnv1a(identity.as_bytes()))
 }
 
 #[cfg(test)]
@@ -597,6 +588,9 @@ mod tests {
     fn checkpoint_token_separates_configs_and_warmups() {
         let config = dspatch_sim::SystemConfig::single_thread();
         let token = checkpoint_token("w:a", &config, &plan());
+        // Pinned: the token names checkpoint files on disk, so a change to
+        // the hash or the identity string must be deliberate.
+        assert_eq!(token, "5b884c51858125c4");
         assert_eq!(token, checkpoint_token("w:a", &config, &plan()));
         assert_ne!(token, checkpoint_token("w:b", &config, &plan()));
         let longer = SamplingPlan {

@@ -4,7 +4,7 @@
 //! Where a [`crate::journal`] binds to **one** `(spec, scale)` identity so a
 //! crashed campaign can resume, the store is campaign-agnostic: every record
 //! is keyed by a [`cell_fingerprint`] — FNV-1a over the `(code version,
-//! target, prefetcher, normalized config, accesses-per-workload)` identity of
+//! target, prefetcher, config, accesses-per-workload)` identity of
 //! one simulation cell — so *any* campaign, submitted by *any* request or
 //! process incarnation, that reaches an already-simulated cell is served from
 //! disk instead of re-simulating. The format follows the journal's crash-safe
@@ -17,11 +17,9 @@
 //! layer queries. Version-1 records (`{"cell": {"fingerprint", "result"}}`)
 //! still parse, upgrading into legacy-tagged rows with empty identity.
 //!
-//! The fingerprint deliberately excludes the parallelism knobs
-//! (`parallel_cores` / `parallel_workers` / `parallel_epoch_cycles`): the
-//! epoch engine is bit-identical for every worker count by construction, so a
-//! result simulated with 4 intra-sim workers answers a single-threaded
-//! request for the same cell. It deliberately *includes* the crate version:
+//! Every field of the [`SystemConfig`] takes part in the fingerprint: every
+//! simulation runs on the one exact engine, so no config knob is a pure
+//! machine knob. The fingerprint deliberately *includes* the crate version:
 //! a simulator change invalidates old results by changing the key, never by
 //! rewriting the file — [`ResultStore::gc`] is how superseded versions are
 //! eventually reclaimed.
@@ -77,10 +75,8 @@ pub fn compare_versions(a: &str, b: &str) -> std::cmp::Ordering {
 /// Content address of one simulation cell, rendered as 16 hex digits.
 ///
 /// The identity is `(code version, target key, prefetcher selection,
-/// normalized config, accesses per workload)`. The config is normalized by
-/// zeroing the parallelism knobs — they never change results (bit-identity
-/// for any worker count is a tested guarantee of the epoch engine) — and
-/// hashed through its `Debug` rendering, which is stable within one crate
+/// config, accesses per workload)`. The config is hashed through its
+/// `Debug` rendering, which is stable within one crate
 /// version; `code_version()` in the identity covers renderings drifting
 /// *across* versions.
 pub fn cell_fingerprint(
@@ -102,12 +98,8 @@ pub fn cell_fingerprint_sampled(
     accesses_per_workload: usize,
     sampling: Option<&crate::sampling::SamplingPlan>,
 ) -> String {
-    let mut normalized = config.clone();
-    normalized.parallel_cores = false;
-    normalized.parallel_workers = 0;
-    normalized.parallel_epoch_cycles = 0;
     let mut identity = format!(
-        "v{}|{target_key}|{prefetcher}|{normalized:?}|a{accesses_per_workload}",
+        "v{}|{target_key}|{prefetcher}|{config:?}|a{accesses_per_workload}",
         code_version()
     );
     if let Some(plan) = sampling {
@@ -601,17 +593,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_parallel_knobs_but_not_the_rest() {
+    fn fingerprint_tracks_every_identity_field() {
         let base = SystemConfig::single_thread();
         let fp = cell_fingerprint("w:x", "Kind(Dspatch)", &base, 1000);
-        let mut parallel = base.clone();
-        parallel.parallel_cores = true;
-        parallel.parallel_workers = 4;
-        parallel.parallel_epoch_cycles = 5000;
-        // Worker-count knobs never change results, so they share an address.
         assert_eq!(
             fp,
-            cell_fingerprint("w:x", "Kind(Dspatch)", &parallel, 1000)
+            cell_fingerprint("w:x", "Kind(Dspatch)", &base.clone(), 1000)
         );
         let mut other = base.clone();
         other.prefetch_mshrs += 1;

@@ -6,9 +6,9 @@
 //! resubmitting an identical `(spec, scale)` is idempotent: the second
 //! request attaches to the first campaign instead of enqueueing new work.
 //! One runner thread drains the bounded queue a campaign at a time (the
-//! executor already parallelizes *inside* a campaign and shares its thread
-//! budget with per-job `effective_workers()`, so stacking campaigns would
-//! oversubscribe), executing through [`run_campaign_with`] with the shared
+//! executor already spreads a campaign's cells over its whole thread
+//! budget, so stacking campaigns would oversubscribe), executing through
+//! [`run_campaign_with`] with the shared
 //! content-addressed [`ResultStore`] — which is what makes results durable
 //! *across* campaigns and process restarts.
 //!

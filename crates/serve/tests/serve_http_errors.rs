@@ -77,6 +77,21 @@ fn routing_parsing_and_drain_errors_are_typed() {
         .expect("message")
         .to_owned();
     assert!(message.contains("invalid campaign spec"), "got: {message}");
+    // A scale with a key the executor does not know is a spec error.
+    let retired = r#"{"name": "x", "cells": [],
+                      "scale": {"accesses_per_workload": 100, "workloads_per_category": 1,
+                                "mixes": 1, "sim_workers": 2}}"#;
+    let (status, _, body) = http_request(addr, "POST", "/campaigns", Some(retired)).expect("400");
+    assert_eq!(status, 400);
+    let message = body_json(&body)
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("message")
+        .to_owned();
+    assert!(
+        message.contains("unknown key 'sim_workers'"),
+        "got: {message}"
+    );
 
     // Oversized bodies are refused from the Content-Length alone, before a
     // single body byte is read (so this request never sends one).

@@ -298,37 +298,6 @@ impl Cache {
         self.find(line).is_some()
     }
 
-    /// Returns `line`'s metadata without touching LRU state or statistics.
-    /// The epoch engine's shards use this to read the shared-LLC snapshot
-    /// side-effect-free; the real probe is replayed at the rendezvous.
-    pub fn peek_meta(&self, line: LineAddr) -> Option<LineMeta> {
-        self.find(line).map(|slot| unpack_meta(self.stamps[slot]))
-    }
-
-    /// Replays a demand probe whose outcome (`hit`, `first_use`) was
-    /// decided earlier against a snapshot: applies exactly the LRU,
-    /// used-bit and statistics effects [`Cache::demand_lookup_first_use`]
-    /// would have applied had it returned that outcome. The line may have
-    /// been evicted since the decision — the stats still record the
-    /// decided outcome so replay stays deterministic.
-    pub fn record_demand_probe(&mut self, line: LineAddr, hit: bool, first_use: bool) {
-        self.clock += 1;
-        if !hit {
-            self.stats.demand_misses += 1;
-            return;
-        }
-        self.stats.demand_hits += 1;
-        if first_use {
-            self.stats.prefetch_first_uses += 1;
-        }
-        if let Some(slot) = self.find(line) {
-            let stamp = self.stamps[slot];
-            self.stamps[slot] = (self.clock << STAMP_CLOCK_SHIFT)
-                | (stamp & !(u64::MAX << STAMP_CLOCK_SHIFT))
-                | STAMP_USED;
-        }
-    }
-
     /// Performs a demand lookup: updates LRU, marks prefetched lines as
     /// used, and records hit/miss statistics. Returns whether it hit.
     pub fn demand_lookup(&mut self, line: LineAddr) -> bool {

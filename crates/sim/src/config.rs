@@ -182,21 +182,6 @@ pub struct SystemConfig {
     /// Upper bound on simulated cycles (guards against pathological
     /// configurations; 0 disables the guard).
     pub max_cycles: u64,
-    /// Run multi-core simulations on scoped worker threads, one shard per
-    /// core, synchronizing at bounded-lag epoch boundaries. The epoch
-    /// engine is deterministic and produces identical results for any
-    /// worker count (a golden test asserts this); single-core simulations
-    /// always use the exact serial loop. Off by default.
-    pub parallel_cores: bool,
-    /// Worker-thread count for the epoch engine. `0` (the default) picks
-    /// `min(available_parallelism, cores)`; any other value is clamped to
-    /// the shard count. Ignored unless `parallel_cores` is set.
-    pub parallel_workers: usize,
-    /// Epoch length in core cycles for the sharded engine. `0` (the
-    /// default) uses the bandwidth-tracker window (4×tRC), the cadence at
-    /// which the hardware itself broadcasts shared DRAM state. Ignored
-    /// unless the simulation has more than one core.
-    pub parallel_epoch_cycles: u64,
 }
 
 impl SystemConfig {
@@ -214,27 +199,7 @@ impl SystemConfig {
             prefetch_mshrs: 16,
             cycle_skipping: true,
             max_cycles: 2_000_000_000,
-            parallel_cores: false,
-            parallel_workers: 0,
-            parallel_epoch_cycles: 0,
         }
-    }
-
-    /// The number of worker threads a simulation with this config will
-    /// occupy: 1 unless it is a parallel multi-core run. Campaign executors
-    /// use this to keep `outer_jobs × intra_sim_workers` within one thread
-    /// budget instead of multiplying pools.
-    pub fn effective_workers(&self) -> usize {
-        if !self.parallel_cores || self.cores < 2 {
-            return 1;
-        }
-        let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let requested = if self.parallel_workers == 0 {
-            auto
-        } else {
-            self.parallel_workers
-        };
-        requested.clamp(1, self.cores)
     }
 
     /// The paper's multi-programmed configuration: four cores, a shared
@@ -264,33 +229,6 @@ impl SystemConfig {
         self
     }
 
-    /// The epoch length the sharded engine uses when none is set
-    /// explicitly: the bandwidth-tracker window (4×tRC in core cycles), the
-    /// cadence at which the hardware itself broadcasts shared DRAM state.
-    /// Mirrors `BandwidthTracker::window_cycles` exactly.
-    pub fn default_epoch_cycles(&self) -> u64 {
-        let cycles_per_ns = self.core.clock_mhz as f64 / 1000.0;
-        (4.0 * self.dram.t_rc_ns() * cycles_per_ns).round().max(1.0) as u64
-    }
-
-    /// Resolves the `0 = auto` parallel knobs into the explicit values the
-    /// engine would pick: `parallel_workers` via [`Self::effective_workers`]
-    /// and `parallel_epoch_cycles` via [`Self::default_epoch_cycles`].
-    /// Engine entry points call this before [`Self::validate`], which
-    /// rejects the auto sentinels; configs that are already explicit pass
-    /// through unchanged.
-    pub fn resolved_parallel(mut self) -> Self {
-        if self.parallel_cores && self.cores > 1 {
-            if self.parallel_workers == 0 {
-                self.parallel_workers = self.effective_workers();
-            }
-            if self.parallel_epoch_cycles == 0 {
-                self.parallel_epoch_cycles = self.default_epoch_cycles();
-            }
-        }
-        self
-    }
-
     /// Validates structural parameters.
     ///
     /// # Errors
@@ -308,25 +246,6 @@ impl SystemConfig {
         }
         if self.prefetch_mshrs == 0 {
             return Err("prefetch MSHR budget must be positive".to_owned());
-        }
-        // The epoch engine treats 0 as "auto" for both parallel knobs, but a
-        // validated config must be explicit: campaigns that accept 0 here
-        // fail deep inside `epoch.rs` with machine-dependent behavior
-        // instead of at spec time. `effective_workers()` and
-        // `default_epoch_cycles()` compute the auto values to store.
-        if self.parallel_cores && self.cores > 1 {
-            if self.parallel_workers == 0 {
-                return Err(format!(
-                    "parallel_cores with {} cores requires an explicit parallel_workers \
-                     (got 0 = auto; use effective_workers() to resolve it first)",
-                    self.cores
-                ));
-            }
-            if self.parallel_epoch_cycles == 0 {
-                return Err("parallel_cores requires an explicit parallel_epoch_cycles \
-                     (got 0 = auto; use default_epoch_cycles() to resolve it first)"
-                    .to_owned());
-            }
         }
         for cache in [&self.l1, &self.l2, &self.llc] {
             let _ = cache.validate()?;
@@ -424,53 +343,6 @@ mod tests {
         let mut cfg = SystemConfig::single_thread();
         cfg.dram.channels = 0;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn validation_rejects_auto_parallel_knobs() {
-        // 0 = auto is an engine-level convenience; a validated config must
-        // be explicit so campaigns fail at spec time, not deep in epoch.rs.
-        let mut cfg = SystemConfig::multi_programmed();
-        cfg.parallel_cores = true;
-        cfg.parallel_workers = 0;
-        cfg.parallel_epoch_cycles = cfg.default_epoch_cycles();
-        let err = cfg.validate().expect_err("auto workers must be rejected");
-        assert!(err.contains("parallel_workers"), "got: {err}");
-
-        cfg.parallel_workers = 2;
-        cfg.parallel_epoch_cycles = 0;
-        let err = cfg.validate().expect_err("auto epoch must be rejected");
-        assert!(err.contains("parallel_epoch_cycles"), "got: {err}");
-
-        cfg.parallel_epoch_cycles = cfg.default_epoch_cycles();
-        assert!(cfg.validate().is_ok());
-
-        // Non-parallel multi-core configs keep 0 = auto (multi_programmed's
-        // own defaults must stay valid).
-        assert!(SystemConfig::multi_programmed().validate().is_ok());
-        // Single-core parallel configs degenerate to the serial loop; the
-        // knobs are ignored there and stay unconstrained.
-        let mut single = SystemConfig::single_thread();
-        single.parallel_cores = true;
-        assert!(single.validate().is_ok());
-    }
-
-    #[test]
-    fn default_epoch_cycles_matches_bandwidth_tracker_window() {
-        use crate::dram::BandwidthTracker;
-        for speed in DramSpeedGrade::ALL {
-            for channels in [1usize, 2] {
-                for clock_mhz in [1000u64, 2500, 4000] {
-                    let mut cfg = SystemConfig::single_thread().with_dram(channels, speed);
-                    cfg.core.clock_mhz = clock_mhz;
-                    assert_eq!(
-                        cfg.default_epoch_cycles(),
-                        BandwidthTracker::new(&cfg.dram, clock_mhz).window_cycles(),
-                        "{speed:?} {channels}ch @ {clock_mhz} MHz"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

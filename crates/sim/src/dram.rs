@@ -272,21 +272,6 @@ impl Dram {
         }
     }
 
-    /// Copies the complete mutable state of `other` into `self` without
-    /// allocating. Used by the sharded multi-core engine to refresh a
-    /// per-shard DRAM view from the shared model at each epoch boundary;
-    /// both sides are built from the same configuration.
-    pub(crate) fn copy_state_from(&mut self, other: &Dram) {
-        debug_assert_eq!(self.channels.len(), other.channels.len());
-        for (dst, src) in self.channels.iter_mut().zip(&other.channels) {
-            dst.banks.copy_from_slice(&src.banks);
-            dst.data_bus_free = src.data_bus_free;
-            dst.demand_bus_free = src.demand_bus_free;
-        }
-        self.tracker = other.tracker;
-        self.stats = other.stats;
-    }
-
     /// The DRAM configuration.
     pub fn config(&self) -> &DramConfig {
         &self.config

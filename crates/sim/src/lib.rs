@@ -48,7 +48,6 @@
 pub mod cache;
 pub mod config;
 pub mod dram;
-pub mod epoch;
 pub mod snapshot;
 pub mod stats;
 pub mod system;

@@ -45,26 +45,26 @@ use std::collections::BinaryHeap;
 
 /// Extra cycles charged for traversing the on-die interconnect to DRAM on
 /// top of the cache probe latencies.
-pub(crate) const DRAM_REQUEST_OVERHEAD: u64 = 10;
+const DRAM_REQUEST_OVERHEAD: u64 = 10;
 /// Upper bound on tracked pollution victims (memory guard).
 const POLLUTION_TRACK_CAP: usize = 1 << 20;
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingFill {
-    pub(crate) ready: u64,
-    pub(crate) core: usize,
+struct PendingFill {
+    ready: u64,
+    core: usize,
     /// Core whose prefetch MSHR this fill occupies (never reassigned by a
     /// demand promotion, unlike `core`).
-    pub(crate) issuer: usize,
-    pub(crate) is_prefetch: bool,
-    pub(crate) fill_l1: bool,
-    pub(crate) fill_l2: bool,
-    pub(crate) low_priority: bool,
-    pub(crate) used_by_demand: bool,
+    issuer: usize,
+    is_prefetch: bool,
+    fill_l1: bool,
+    fill_l2: bool,
+    low_priority: bool,
+    used_by_demand: bool,
 }
 
 /// Placeholder used to initialize unoccupied [`LineTable`] slots.
-pub(crate) const NO_FILL: PendingFill = PendingFill {
+const NO_FILL: PendingFill = PendingFill {
     ready: 0,
     core: 0,
     issuer: 0,
@@ -80,59 +80,56 @@ pub(crate) const NO_FILL: PendingFill = PendingFill {
 /// cycle later, so they compress into a single entry — the dominant ROB
 /// traffic shrinks by the allocation width.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RobEntry {
+struct RobEntry {
     completion: u64,
     count: u32,
 }
 
 /// One simulated core and everything private to it: trace supply, ROB and
 /// load-buffer state, the L1/L2 caches, both prefetchers and their reusable
-/// request sinks. `pub(crate)` because the epoch engine moves whole
-/// `CoreState`s onto worker threads and steps them through the shared
-/// [`Fabric`] trait.
-pub(crate) struct CoreState {
-    pub(crate) id: usize,
-    pub(crate) workload: String,
+/// request sinks.
+struct CoreState {
+    id: usize,
+    workload: String,
     /// Pull-based record supply: the machine holds O(1) trace state however
     /// long the run (an owned `Trace` arrives as the materialized adapter).
-    pub(crate) source: Box<dyn TraceSource>,
+    source: Box<dyn TraceSource>,
     /// One-record lookahead: the next record to issue, already pulled so
     /// its `gap` is known during the preceding gap-allocation phase.
-    pub(crate) pending: Option<TraceRecord>,
-    pub(crate) gap_remaining: u32,
+    pending: Option<TraceRecord>,
+    gap_remaining: u32,
     /// Records pulled from the source and fully consumed (issued in timed
     /// mode or applied functionally). The one-record lookahead in `pending`
     /// is *not* counted, so a checkpoint can replay the source exactly this
     /// many records to land back on the same lookahead.
-    pub(crate) records_consumed: u64,
+    records_consumed: u64,
     /// Remaining records this core may issue before it reports finished
     /// (`u64::MAX` = unbounded). Sampled simulation sets this to the
     /// interval length so a measurement window covers an exact record
     /// count; the record that would exceed the budget stays in `pending`.
-    pub(crate) record_budget: u64,
+    record_budget: u64,
     /// Run-length-compressed, in-order ROB; `rob_len` tracks the summed
     /// instruction count (the occupancy the 224-entry bound applies to).
-    pub(crate) rob: std::collections::VecDeque<RobEntry>,
-    pub(crate) rob_len: usize,
-    pub(crate) load_completions: BinaryHeap<Reverse<u64>>,
-    pub(crate) l1: Cache,
-    pub(crate) l2: Cache,
-    pub(crate) l1_prefetcher: Option<StridePrefetcher>,
-    pub(crate) l2_prefetcher: AnyPrefetcher,
-    pub(crate) accounting: PrefetchAccounting,
+    rob: std::collections::VecDeque<RobEntry>,
+    rob_len: usize,
+    load_completions: BinaryHeap<Reverse<u64>>,
+    l1: Cache,
+    l2: Cache,
+    l1_prefetcher: Option<StridePrefetcher>,
+    l2_prefetcher: AnyPrefetcher,
+    accounting: PrefetchAccounting,
     /// L2 prefetch fills currently in flight for this core (bounded by the
     /// configured prefetch MSHR budget).
-    pub(crate) inflight_prefetches: usize,
-    pub(crate) instructions: u64,
-    pub(crate) finish_cycle: u64,
-    pub(crate) finished: bool,
-    pub(crate) last_memory_completion: u64,
+    inflight_prefetches: usize,
+    instructions: u64,
+    finish_cycle: u64,
+    finished: bool,
+    last_memory_completion: u64,
     /// Reusable request buffer for the L1 stride prefetcher (owned by the
-    /// core so the per-access hot path never allocates in steady state and
-    /// the core can migrate to a worker thread with its buffers).
-    pub(crate) l1_sink: PrefetchSink,
+    /// core so the per-access hot path never allocates in steady state).
+    l1_sink: PrefetchSink,
     /// Reusable request buffer for the L2 prefetcher.
-    pub(crate) l2_sink: PrefetchSink,
+    l2_sink: PrefetchSink,
 }
 
 impl CoreState {
@@ -176,7 +173,7 @@ impl std::fmt::Debug for CoreState {
 }
 
 #[derive(Debug)]
-pub(crate) struct PollutionTracker {
+struct PollutionTracker {
     /// Lines evicted from the LLC by a prefetch fill and not re-demanded
     /// yet. A set, not a map: membership is the only state. Open-addressed —
     /// this is probed on every demand that leaves the L2.
@@ -198,13 +195,13 @@ impl Default for PollutionTracker {
 }
 
 impl PollutionTracker {
-    pub(crate) fn record_prefetch_victim(&mut self, line: LineAddr) {
+    fn record_prefetch_victim(&mut self, line: LineAddr) {
         if self.victims.len() < POLLUTION_TRACK_CAP {
             self.victims.insert(line.as_u64());
         }
     }
 
-    pub(crate) fn observe_demand(&mut self, line: LineAddr, went_to_dram: bool) {
+    fn observe_demand(&mut self, line: LineAddr, went_to_dram: bool) {
         if self.victims.remove(line.as_u64()) {
             if went_to_dram {
                 self.counts.bad_pollution += 1;
@@ -214,7 +211,7 @@ impl PollutionTracker {
         }
     }
 
-    pub(crate) fn finish(mut self) -> PollutionBreakdown {
+    fn finish(mut self) -> PollutionBreakdown {
         self.counts.no_reuse += self.victims.len() as u64;
         self.counts
     }
@@ -258,16 +255,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Runs the simulation to completion.
-    ///
-    /// Single-core simulations run the exact cycle-interleaved serial loop.
-    /// Multi-core simulations run the deterministic bounded-lag epoch
-    /// engine (see [`crate::epoch`]): per-core shards advance independently
-    /// within an epoch against a snapshot of the shared LLC/DRAM state, and
-    /// every shared-resource event is replayed in a deterministic total
-    /// order at the epoch boundary. [`SystemConfig::parallel_cores`] only
-    /// selects whether the shards run on worker threads — the results are
-    /// bit-identical for every worker count by construction.
+    /// Runs the simulation to completion on a [`Machine`], the exact
+    /// cycle-interleaved engine, whatever the core count: every core steps
+    /// each cycle against the one shared LLC and DRAM, so a core sees the
+    /// other cores' traffic in the cycle it happens.
     ///
     /// # Panics
     ///
@@ -275,19 +266,14 @@ impl SimulationBuilder {
     /// configuration allows, or the configuration is invalid.
     pub fn run(self) -> SimResult {
         SIMULATIONS_STARTED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if self.cores.len() > 1 {
-            crate::epoch::run_sharded(self.config, self.cores)
-        } else {
-            let mut machine = Machine::new(self.config, self.cores);
-            machine.run()
-        }
+        Machine::new(self.config, self.cores).run()
     }
 
-    /// Builds the serial [`Machine`] without running it, for the sampled
+    /// Builds the [`Machine`] without running it, for the sampled
     /// simulation workflow: functional warm-up, checkpoint capture/restore
     /// and bounded measurement intervals. Panics under the same conditions
     /// as [`SimulationBuilder::run`]; additionally the sampling API is
-    /// serial-only, so more than one core is rejected.
+    /// single-core-only, so more than one core is rejected.
     ///
     /// # Panics
     ///
@@ -314,20 +300,13 @@ pub fn simulations_started() -> u64 {
     SIMULATIONS_STARTED.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Builds the per-core machines for either engine. Panics on an invalid
-/// configuration or core count (the `SimulationBuilder::run` contract).
-pub(crate) fn build_cores(
+/// Builds the per-core state. Panics on an invalid configuration or core
+/// count (the `SimulationBuilder::run` contract).
+fn build_cores(
     config: &SystemConfig,
     core_setup: Vec<(Box<dyn TraceSource>, AnyPrefetcher)>,
 ) -> Vec<CoreState> {
-    // `0 = auto` on the parallel knobs is an engine-level convenience;
-    // validate the resolved form (`validate` itself rejects the sentinels
-    // so spec-time callers get an explicit, machine-independent config).
-    config
-        .clone()
-        .resolved_parallel()
-        .validate()
-        .expect("invalid system configuration");
+    config.validate().expect("invalid system configuration");
     assert!(!core_setup.is_empty(), "simulation needs at least one core");
     assert!(
         core_setup.len() <= config.cores,
@@ -372,41 +351,9 @@ pub(crate) fn build_cores(
         .collect()
 }
 
-/// What a core sees beyond its private L1/L2 boundary. The serial engine's
-/// [`SharedFabric`] implements it against the real shared LLC/DRAM; the
-/// epoch engine's shard view implements it against an epoch-start snapshot
-/// plus a private overlay, logging every shared-state effect for ordered
-/// replay. Keeping the delicate core-stepping logic generic over this trait
-/// is what guarantees both engines step cores identically.
-pub(crate) trait Fabric {
-    /// The DRAM bandwidth quartile this core currently observes.
-    fn quartile(&self) -> dspatch_types::BandwidthQuartile;
-
-    /// Resolves a demand access that missed the L1: probes L2 → LLC →
-    /// in-flight fills → DRAM, performs fills/accounting, and returns
-    /// `(latency beyond the L1 probe, l2_hit)`.
-    fn access_beyond_l1(
-        &mut self,
-        core: &mut CoreState,
-        line: LineAddr,
-        cycle: u64,
-        count_coverage: bool,
-    ) -> (u64, bool);
-
-    /// Issues one L2-prefetcher request. Returns `false` when the core's
-    /// prefetch MSHR budget is exhausted (the caller stops iterating the
-    /// remaining candidates — a full prefetch queue drops them).
-    fn issue_l2_prefetch(
-        &mut self,
-        core: &mut CoreState,
-        request: &PrefetchRequest,
-        cycle: u64,
-    ) -> bool;
-}
-
-/// The shared side of the serial machine: LLC, DRAM, the in-flight fill
-/// table and pollution tracking.
-pub(crate) struct SharedFabric {
+/// The shared side of the machine: LLC, DRAM, the in-flight fill table and
+/// pollution tracking.
+struct SharedFabric {
     llc: Cache,
     dram: Dram,
     /// In-flight DRAM fills keyed by line address. An open-addressed arena
@@ -422,7 +369,11 @@ pub(crate) struct SharedFabric {
     prefetch_mshrs: usize,
 }
 
-/// The simulated machine (the exact cycle-interleaved serial engine).
+/// The simulated machine: the exact cycle-interleaved engine. Each cycle
+/// steps every core, in core order, against the one shared LLC, DRAM and
+/// in-flight fill table, so contention (and the bandwidth quartile DSPatch
+/// reads) is never seen late. Single- and multi-core runs share this one
+/// engine.
 pub struct Machine {
     config: SystemConfig,
     cycle: u64,
@@ -431,10 +382,7 @@ pub struct Machine {
 }
 
 impl Machine {
-    pub(crate) fn new(
-        config: SystemConfig,
-        core_setup: Vec<(Box<dyn TraceSource>, AnyPrefetcher)>,
-    ) -> Self {
+    fn new(config: SystemConfig, core_setup: Vec<(Box<dyn TraceSource>, AnyPrefetcher)>) -> Self {
         let cores = build_cores(&config, core_setup);
         // Demand fills are bounded by the per-core load buffers and L2
         // prefetch fills by the per-core prefetch MSHR budget; seeding the
@@ -521,7 +469,7 @@ impl Machine {
         self.drain_ready_fills(cycle);
         self.fab.dram.advance(cycle);
         for core in &mut self.cores {
-            step_core_generic(core, &mut self.fab, &self.config, cycle);
+            step_core(core, &mut self.fab, &self.config, cycle);
         }
     }
 
@@ -577,11 +525,9 @@ impl Machine {
 
 /// How many upcoming cycles (starting at `cycle + 1`) this core can be
 /// advanced without stepping it, or `u64::MAX` if it is finished. Zero means
-/// the next cycle must run normally. Mirrors the conditions of
-/// `step_core_generic` exactly. Shared by the serial engine (which takes the
-/// minimum across cores) and the epoch engine (which skips each shard
-/// independently and uses it to size event-free epochs).
-pub(crate) fn core_skip_allowance(core: &CoreState, cycle: u64, config: &SystemConfig) -> u64 {
+/// the next cycle must run normally. Mirrors the conditions of `step_core`
+/// exactly; the machine skips the minimum across cores.
+fn core_skip_allowance(core: &CoreState, cycle: u64, config: &SystemConfig) -> u64 {
     {
         if core.finished {
             return u64::MAX;
@@ -667,7 +613,7 @@ pub(crate) fn core_skip_allowance(core: &CoreState, cycle: u64, config: &SystemC
 /// `width * skip` instructions, idle cores are untouched (their lazy
 /// load-completion drain happens at the next real step, identically to
 /// the per-cycle loop's cumulative pops).
-pub(crate) fn advance_core_closed_form(
+fn advance_core_closed_form(
     core: &mut CoreState,
     cycle: u64,
     skip: u64,
@@ -1059,7 +1005,7 @@ impl Machine {
 }
 
 /// Applies one trace record in functional warm-up mode, mirroring
-/// `demand_access_generic`'s probe/train order without any timing: fills
+/// `demand_access`'s probe/train order without any timing: fills
 /// that would arrive from DRAM materialize immediately, MSHR bounds and
 /// pollution-victim tracking are skipped.
 fn functional_access(
@@ -1176,14 +1122,8 @@ fn functional_beyond_l1(
 }
 
 /// Steps one core for one cycle against `fab`: retire, then allocate,
-/// issuing demand accesses and prefetches through the fabric. Both engines
-/// call exactly this function, so cores evolve identically under either.
-pub(crate) fn step_core_generic<F: Fabric>(
-    core: &mut CoreState,
-    fab: &mut F,
-    config: &SystemConfig,
-    cycle: u64,
-) {
+/// issuing demand accesses and prefetches through the fabric.
+fn step_core(core: &mut CoreState, fab: &mut SharedFabric, config: &SystemConfig, cycle: u64) {
     let width = config.core.width;
     let rob_entries = config.core.rob_entries;
     let load_buffer = config.core.load_buffer_entries;
@@ -1246,7 +1186,7 @@ pub(crate) fn step_core_generic<F: Fabric>(
         } else {
             cycle
         };
-        let completion = demand_access_generic(core, fab, config, &record, issue_cycle);
+        let completion = demand_access(core, fab, config, &record, issue_cycle);
         core.last_memory_completion = completion;
         core.rob_push(completion, 1);
         core.load_completions.push(Reverse(completion));
@@ -1261,9 +1201,9 @@ pub(crate) fn step_core_generic<F: Fabric>(
 
 /// Performs one demand access through the hierarchy and returns its
 /// completion cycle.
-pub(crate) fn demand_access_generic<F: Fabric>(
+fn demand_access(
     core: &mut CoreState,
-    fab: &mut F,
+    fab: &mut SharedFabric,
     config: &SystemConfig,
     record: &TraceRecord,
     cycle: u64,
@@ -1312,7 +1252,7 @@ pub(crate) fn demand_access_generic<F: Fabric>(
     // L1 prefetcher requests are handled after the demand so they never
     // shorten the triggering access itself.
     for request in l1_sink.requests() {
-        issue_l1_prefetch_generic(core, fab, request, cycle);
+        issue_l1_prefetch(core, fab, request, cycle);
     }
     core.l1_sink = l1_sink;
     completion
@@ -1320,9 +1260,9 @@ pub(crate) fn demand_access_generic<F: Fabric>(
 
 /// Issues one request from the L1 stride prefetcher. L1 prefetch misses
 /// also train the L2 prefetcher, matching the paper's methodology.
-fn issue_l1_prefetch_generic<F: Fabric>(
+fn issue_l1_prefetch(
     core: &mut CoreState,
-    fab: &mut F,
+    fab: &mut SharedFabric,
     request: &PrefetchRequest,
     cycle: u64,
 ) {
@@ -1337,7 +1277,7 @@ fn issue_l1_prefetch_generic<F: Fabric>(
     let access = MemoryAccess::new(pc, line.to_addr(), dspatch_types::AccessKind::Load)
         .with_core(CoreId(core.id));
     let (_, l2_hit) = fab.access_beyond_l1(core, line, cycle, false);
-    // `demand_access_generic` has already put the L2 sink back before
+    // `demand_access` has already put the L2 sink back before
     // iterating the L1 requests, so taking it again here never aliases.
     let mut l2_sink = std::mem::take(&mut core.l2_sink);
     l2_sink.clear();
@@ -1357,7 +1297,8 @@ fn issue_l1_prefetch_generic<F: Fabric>(
     core.l1.fill(line, true, false);
 }
 
-impl Fabric for SharedFabric {
+impl SharedFabric {
+    /// The DRAM bandwidth quartile the cores currently observe.
     fn quartile(&self) -> dspatch_types::BandwidthQuartile {
         self.dram.bandwidth_quartile()
     }
@@ -1664,6 +1605,57 @@ mod tests {
             assert!(core.ipc() > 0.0);
         }
         assert!(result.dram.cas_commands > 0);
+    }
+
+    /// A heterogeneous 4-core mix: two streams, a spatial workload and a
+    /// pointer chase, under three different prefetchers.
+    fn mixed_four_core(config: SystemConfig, accesses: usize) -> SimResult {
+        use dspatch_trace::PointerChaseGen;
+        let spatial = Trace::new(
+            "spatial",
+            SpatialPatternGen::default().generate_records(7, accesses),
+        );
+        let chase = Trace::new(
+            "chase",
+            PointerChaseGen {
+                nodes: 1 << 14,
+                node_bytes: 192,
+                gap: 12,
+            }
+            .generate_records(9, accesses),
+        );
+        let aggressive = StreamPrefetcher::new(StreamConfig {
+            degree: 8,
+            ..StreamConfig::default()
+        });
+        SimulationBuilder::new(config)
+            .with_core(
+                stream_trace(accesses, 1),
+                StreamPrefetcher::new(StreamConfig::default()),
+            )
+            .with_core(stream_trace(accesses, 2), NullPrefetcher::new())
+            .with_core(spatial, aggressive)
+            .with_core(chase, NullPrefetcher::new())
+            .run()
+    }
+
+    #[test]
+    fn multi_core_cycle_skipping_is_bit_identical() {
+        let run = |skipping: bool| {
+            let mut config = SystemConfig::multi_programmed();
+            config.cycle_skipping = skipping;
+            mixed_four_core(config, 700)
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn max_cycles_valve_terminates_multi_core_runs() {
+        let mut config = SystemConfig::multi_programmed();
+        config.max_cycles = 10_000;
+        let result = mixed_four_core(config, 200_000);
+        assert!(result.cycles <= 10_000 + 1);
+        assert_eq!(result.cores.len(), 4);
     }
 
     #[test]

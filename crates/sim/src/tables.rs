@@ -109,14 +109,6 @@ impl<V: Copy> LineTable<V> {
         self.len == 0
     }
 
-    /// Removes every entry, keeping the allocated capacity. O(capacity);
-    /// used by the epoch engine to reset its per-epoch LLC overlay, whose
-    /// capacity stays small and steady.
-    pub fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
-    }
-
     /// Removes every entry and returns to the seeded slot count, releasing
     /// whatever a backlog grew. O(seeded capacity).
     pub(crate) fn reset(&mut self) {

@@ -243,9 +243,9 @@ impl<'a> IntoIterator for &'a PrefetchSink {
 /// Implementations must be deterministic functions of the access stream they
 /// observe so that simulation results are reproducible.
 ///
-/// `Send` is a supertrait so a per-core machine (which owns its prefetcher)
-/// can be moved onto an epoch worker thread by the sharded multi-core
-/// engine; prefetchers are plain state machines, so this costs nothing.
+/// `Send` is a supertrait so a machine (which owns its prefetchers) can be
+/// built on one thread and run on another; prefetchers are plain state
+/// machines, so this costs nothing.
 pub trait Prefetcher: Send {
     /// Human-readable name used in reports ("SPP", "DSPatch+SPP", ...).
     fn name(&self) -> &str;

@@ -14,7 +14,6 @@ fn main() {
         workloads_per_category: 1,
         mixes: 1,
         threads: 8,
-        sim_workers: 0,
         sampling: None,
     };
     let workloads = scale.select_workloads(memory_intensive_suite());

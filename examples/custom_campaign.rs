@@ -22,7 +22,6 @@ fn main() {
             workloads_per_category: 2,
             mixes: 1,
             threads: None, // available_parallelism
-            sim_workers: 0,
             sampling: None,
         }),
         cells: vec![

@@ -15,7 +15,6 @@ fn main() {
         workloads_per_category: 0,
         mixes: 1,
         threads: 1,
-        sim_workers: 0,
         sampling: None,
     };
     let mix = &heterogeneous_mixes(1, 4, 42)[0];

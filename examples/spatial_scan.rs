@@ -14,7 +14,6 @@ fn main() {
         workloads_per_category: 1,
         mixes: 1,
         threads: 1,
-        sim_workers: 0,
         sampling: None,
     };
     let workload = &category_suite(WorkloadCategory::Cloud)[0];

@@ -21,7 +21,6 @@ fn baselines_simulate_once_per_workload_and_config() {
         workloads_per_category: 1,
         mixes: 1,
         threads: 2,
-        sim_workers: 0,
         sampling: None,
     };
 

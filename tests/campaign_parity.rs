@@ -22,7 +22,6 @@ fn tiny() -> RunScale {
         workloads_per_category: 1,
         mixes: 1,
         threads: 4,
-        sim_workers: 0,
         sampling: None,
     }
 }
@@ -157,7 +156,6 @@ fn every_named_figure_runs_through_the_registry() {
         workloads_per_category: 1,
         mixes: 1,
         threads: 4,
-        sim_workers: 0,
         sampling: None,
     };
     for id in FigureId::ALL {
@@ -253,7 +251,6 @@ fn arbitrary_spec(seed: u64) -> CampaignSpec {
             } else {
                 Some(1 + next(64) as usize)
             },
-            sim_workers: next(3) as usize,
             sampling: if next(2) == 0 {
                 None
             } else {

@@ -88,6 +88,14 @@ fn misplaced_flags_are_usage_errors_not_silently_ignored() {
             "dspatch-lab {args:?}: {stderr}"
         );
     }
+    // A flag the CLI does not know is a usage error, never a silent no-op.
+    let args = ["--figure", "fig17", "--parallel-cores", "2"];
+    let (code, stderr) = dspatch_lab_fails(&args);
+    assert_eq!(code, 2, "dspatch-lab {args:?}: {stderr}");
+    assert!(
+        stderr.contains("unknown argument: --parallel-cores"),
+        "dspatch-lab {args:?}: {stderr}"
+    );
 }
 
 #[test]

@@ -14,7 +14,6 @@ fn tiny_scale() -> RunScale {
         workloads_per_category: 1,
         mixes: 1,
         threads: 4,
-        sim_workers: 0,
         sampling: None,
     }
 }

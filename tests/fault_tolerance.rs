@@ -22,7 +22,6 @@ fn tiny() -> RunScale {
         workloads_per_category: 1,
         mixes: 1,
         threads: 2,
-        sim_workers: 0,
         sampling: None,
     }
 }

@@ -35,7 +35,6 @@ fn scale() -> RunScale {
         workloads_per_category: 1,
         mixes: 0,
         threads: 1,
-        sim_workers: 0,
         sampling: Some(plan()),
     }
 }
