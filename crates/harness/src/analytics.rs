@@ -792,9 +792,9 @@ fn aggregate(agg: Agg, values: &[(f64, f64)]) -> Option<f64> {
         Agg::Mean => Some(values.iter().map(|(v, _)| v).sum::<f64>() / n),
         Agg::Min => values.iter().map(|(v, _)| *v).reduce(f64::min),
         Agg::Max => values.iter().map(|(v, _)| *v).reduce(f64::max),
-        Agg::Geomean => {
-            Some((values.iter().map(|(v, _)| v.max(1e-12).ln()).sum::<f64>() / n).exp())
-        }
+        Agg::Geomean => Some(crate::runner::geomean(
+            &values.iter().map(|(v, _)| *v).collect::<Vec<_>>(),
+        )),
     }
 }
 

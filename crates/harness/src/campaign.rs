@@ -46,7 +46,6 @@ use dspatch_prefetchers::{SmsConfig, SmsPrefetcher};
 use dspatch_sim::{DramSpeedGrade, SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::workloads::{category_suite, memory_intensive_suite, suite, WorkloadCategory};
 use dspatch_trace::{heterogeneous_mixes, homogeneous_mixes, WorkloadMix, WorkloadSpec};
-use dspatch_types::Prefetcher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -108,13 +107,6 @@ impl PrefetcherSel {
             }
             PrefetcherSel::SmsPht(_) => Ok(()),
         }
-    }
-
-    /// Builds a fresh prefetcher instance behind the dynamic interface.
-    /// Delegates to [`PrefetcherSel::build_any`] so there is exactly one
-    /// construction table.
-    pub fn build(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.build_any())
     }
 
     /// Builds a fresh prefetcher instance as a statically dispatched

@@ -910,7 +910,7 @@ pub fn table3_prefetcher_storage() -> Table {
         PrefetcherKind::SmsIso,
         PrefetcherKind::Sms,
     ] {
-        let kb = kind.build().storage_bits() as f64 / 8.0 / 1024.0;
+        let kb = kind.build_any().storage_bits() as f64 / 8.0 / 1024.0;
         table.add_row(vec![kind.label().to_owned(), format!("{kb:.1}")]);
     }
     table

@@ -1,7 +1,7 @@
 //! The named-figure registry: every table and figure of the paper,
-//! addressable by name for the `dspatch-lab` CLI, the benchmark targets and
-//! the parity tests. Each entry routes through the same campaign-backed
-//! experiment functions in [`crate::experiments`].
+//! addressable by name for the `dspatch-lab` CLI and the parity tests. Each
+//! entry routes through the same campaign-backed experiment functions in
+//! [`crate::experiments`].
 
 use crate::experiments;
 use crate::report::Table;

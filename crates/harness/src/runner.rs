@@ -9,7 +9,6 @@ use dspatch_prefetchers::{
 };
 use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::{WorkloadMix, WorkloadSpec};
-use dspatch_types::Prefetcher;
 use serde::{Deserialize, Serialize};
 
 /// The prefetchers the paper's figures compare. Each variant builds a fresh
@@ -68,16 +67,6 @@ impl PrefetcherKind {
             PrefetcherKind::ModCovpPlusSpp => "ModCovP+SPP",
             PrefetcherKind::Streamer => "Streamer",
         }
-    }
-
-    /// Builds a fresh prefetcher instance of this kind behind the dynamic
-    /// `dyn Prefetcher` interface (the escape-hatch form; simulations built
-    /// from the registry use [`PrefetcherKind::build_any`] instead).
-    ///
-    /// Delegates to [`PrefetcherKind::build_any`] so the registry has
-    /// exactly one construction table — the two forms cannot drift apart.
-    pub fn build(self) -> Box<dyn Prefetcher> {
-        Box::new(self.build_any())
     }
 
     /// Builds a fresh prefetcher instance of this kind as a statically
@@ -175,7 +164,8 @@ impl PrefetcherKind {
 }
 
 /// How much work an experiment does. Every figure function takes a scale so
-/// the same code serves smoke tests, `cargo bench` and full reproductions.
+/// the same code serves smoke tests, `dspatch-lab` runs and full
+/// reproductions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunScale {
     /// Memory accesses simulated per workload.
@@ -205,8 +195,8 @@ impl RunScale {
         }
     }
 
-    /// The scale used by `cargo bench`: small enough to run every figure in
-    /// minutes, large enough for stable trends.
+    /// The `dspatch-lab --scale quick` preset: small enough to run every
+    /// figure in minutes, large enough for stable trends.
     pub fn quick() -> Self {
         Self {
             accesses_per_workload: 6_000,
@@ -395,18 +385,13 @@ pub fn perf_delta(
 mod tests {
     use super::*;
     use dspatch_trace::workloads::suite;
+    use dspatch_types::Prefetcher;
 
     #[test]
     fn every_kind_builds_a_prefetcher_and_parses_back() {
         for kind in PrefetcherKind::ALL {
-            let prefetcher = kind.build();
             assert!(!kind.label().is_empty());
-            assert!(!prefetcher.name().is_empty());
-            assert_eq!(
-                kind.build_any().name(),
-                prefetcher.name(),
-                "static and boxed forms must agree on identity"
-            );
+            assert!(!kind.build_any().name().is_empty());
             assert_eq!(PrefetcherKind::parse(kind.spec_name()), Some(kind));
             assert_eq!(PrefetcherKind::parse(kind.label()), Some(kind));
         }

@@ -32,9 +32,8 @@ pub type BopPlusSpp = AdjunctPrefetcher<SppPrefetcher, BopPrefetcher>;
 pub type SmsPlusSpp = AdjunctPrefetcher<SppPrefetcher, SmsPrefetcher>;
 
 /// Concrete constructors for the adjunct composites the paper evaluates.
-/// These are the **single** construction table: [`crate::lineup`] boxes
-/// them and the experiment registry's `build_any` wraps them in enum
-/// variants, so the two forms cannot drift apart.
+/// These are the **single** construction table: the experiment registry's
+/// `build_any` wraps them in enum variants, so no second table can drift.
 pub mod composites {
     use super::*;
     use crate::{BopConfig, SmsConfig, SppConfig};
@@ -364,7 +363,8 @@ mod tests {
 
     #[test]
     fn box_dyn_converts_to_the_escape_hatch() {
-        let p: AnyPrefetcher = crate::lineup::dspatch_plus_spp().into();
+        let boxed: Box<dyn Prefetcher> = Box::new(composites::dspatch_plus_spp());
+        let p: AnyPrefetcher = boxed.into();
         assert!(matches!(p, AnyPrefetcher::Boxed(_)));
         assert_eq!(p.name(), "DSPatch+SPP");
     }

@@ -17,10 +17,10 @@ use dspatch_types::{LineAddr, MemoryAccess, PrefetchContext, PrefetchSink, Prefe
 /// # Example
 ///
 /// ```
-/// use dspatch_prefetchers::lineup;
+/// use dspatch_prefetchers::any::composites;
 /// use dspatch_types::{AccessKind, Addr, MemoryAccess, Pc, PrefetchContext, Prefetcher};
 ///
-/// let mut combined = lineup::dspatch_plus_spp();
+/// let mut combined = composites::dspatch_plus_spp();
 /// let a = MemoryAccess::new(Pc::new(1), Addr::new(0x1000), AccessKind::Load);
 /// let _ = combined.collect_requests(&a, &PrefetchContext::default());
 /// assert_eq!(combined.name(), "DSPatch+SPP");
@@ -177,8 +177,12 @@ impl<P: SnapshotState, A: SnapshotState> SnapshotState for AdjunctPrefetcher<P, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineup;
-    use crate::{SppConfig, SppPrefetcher, StreamConfig, StreamPrefetcher};
+    use crate::any::composites;
+    use crate::{
+        BopConfig, BopPrefetcher, SmsConfig, SmsPrefetcher, SppConfig, SppPrefetcher, StreamConfig,
+        StreamPrefetcher,
+    };
+    use dspatch::{DsPatch, DsPatchConfig};
     use dspatch_types::{AccessKind, Addr, FillLevel, NullPrefetcher, Pc};
 
     fn access(byte: u64) -> MemoryAccess {
@@ -262,25 +266,25 @@ mod tests {
 
     #[test]
     fn lineup_names_match_the_paper() {
-        assert_eq!(lineup::spp().name(), "SPP");
-        assert_eq!(lineup::espp().name(), "eSPP");
-        assert_eq!(lineup::bop().name(), "BOP");
-        assert_eq!(lineup::ebop().name(), "eBOP");
-        assert_eq!(lineup::sms().name(), "SMS");
-        assert_eq!(lineup::dspatch().name(), "DSPatch");
-        assert_eq!(lineup::dspatch_plus_spp().name(), "DSPatch+SPP");
-        assert_eq!(lineup::bop_plus_spp().name(), "BOP+SPP");
-        assert_eq!(lineup::ebop_plus_spp().name(), "eBOP+SPP");
-        assert_eq!(lineup::sms_iso_plus_spp().name(), "SMS+SPP");
+        assert_eq!(SppPrefetcher::new(SppConfig::default()).name(), "SPP");
+        assert_eq!(SppPrefetcher::new(SppConfig::enhanced()).name(), "eSPP");
+        assert_eq!(BopPrefetcher::new(BopConfig::default()).name(), "BOP");
+        assert_eq!(BopPrefetcher::new(BopConfig::enhanced()).name(), "eBOP");
+        assert_eq!(SmsPrefetcher::new(SmsConfig::default()).name(), "SMS");
+        assert_eq!(DsPatch::new(DsPatchConfig::default()).name(), "DSPatch");
+        assert_eq!(composites::dspatch_plus_spp().name(), "DSPatch+SPP");
+        assert_eq!(composites::bop_plus_spp().name(), "BOP+SPP");
+        assert_eq!(composites::ebop_plus_spp().name(), "eBOP+SPP");
+        assert_eq!(composites::sms_iso_plus_spp().name(), "SMS+SPP");
     }
 
     #[test]
     fn lineup_storage_ordering_matches_table3() {
         // BOP < DSPatch < SPP < SMS(16K) in storage.
-        let bop = lineup::bop().storage_bits();
-        let dspatch = lineup::dspatch().storage_bits();
-        let spp = lineup::spp().storage_bits();
-        let sms = lineup::sms().storage_bits();
+        let bop = BopPrefetcher::new(BopConfig::default()).storage_bits();
+        let dspatch = DsPatch::new(DsPatchConfig::default()).storage_bits();
+        let spp = SppPrefetcher::new(SppConfig::default()).storage_bits();
+        let sms = SmsPrefetcher::new(SmsConfig::default()).storage_bits();
         assert!(
             bop < dspatch,
             "BOP ({bop}) should be smaller than DSPatch ({dspatch})"

@@ -40,80 +40,3 @@ pub use sms::{SmsConfig, SmsPrefetcher};
 pub use spp::{SppConfig, SppPrefetcher};
 pub use stream::{StreamConfig, StreamPrefetcher};
 pub use stride::{StrideConfig, StridePrefetcher};
-
-use dspatch::{DsPatch, DsPatchConfig};
-use dspatch_types::Prefetcher;
-
-/// Convenience constructors for the exact prefetcher line-up the paper
-/// evaluates (Figures 12, 14, 15, 17, 18).
-pub mod lineup {
-    use super::*;
-
-    /// Standalone SPP with the paper's Table 3 configuration.
-    pub fn spp() -> Box<dyn Prefetcher> {
-        Box::new(SppPrefetcher::new(SppConfig::default()))
-    }
-
-    /// Bandwidth-enhanced SPP (eSPP, Section 2.1).
-    pub fn espp() -> Box<dyn Prefetcher> {
-        Box::new(SppPrefetcher::new(SppConfig::enhanced()))
-    }
-
-    /// Standalone BOP with the paper's Table 3 configuration.
-    pub fn bop() -> Box<dyn Prefetcher> {
-        Box::new(BopPrefetcher::new(BopConfig::default()))
-    }
-
-    /// Bandwidth-enhanced BOP (eBOP, Section 2.2).
-    pub fn ebop() -> Box<dyn Prefetcher> {
-        Box::new(BopPrefetcher::new(BopConfig::enhanced()))
-    }
-
-    /// Standalone SMS with a 16K-entry pattern history table (88 KB).
-    pub fn sms() -> Box<dyn Prefetcher> {
-        Box::new(SmsPrefetcher::new(SmsConfig::default()))
-    }
-
-    /// SMS constrained to 256 PHT entries — iso-storage with DSPatch
-    /// (Figures 5 and 14).
-    pub fn sms_iso_storage() -> Box<dyn Prefetcher> {
-        Box::new(SmsPrefetcher::new(SmsConfig::with_pht_entries(256)))
-    }
-
-    /// Standalone DSPatch with the paper's default configuration.
-    pub fn dspatch() -> Box<dyn Prefetcher> {
-        Box::new(DsPatch::new(DsPatchConfig::default()))
-    }
-
-    /// DSPatch as a lightweight adjunct to SPP (the paper's headline
-    /// configuration).
-    pub fn dspatch_plus_spp() -> Box<dyn Prefetcher> {
-        Box::new(crate::any::composites::dspatch_plus_spp())
-    }
-
-    /// BOP as an adjunct to SPP (Figure 14).
-    pub fn bop_plus_spp() -> Box<dyn Prefetcher> {
-        Box::new(crate::any::composites::bop_plus_spp())
-    }
-
-    /// eBOP as an adjunct to SPP (Figure 15).
-    pub fn ebop_plus_spp() -> Box<dyn Prefetcher> {
-        Box::new(crate::any::composites::ebop_plus_spp())
-    }
-
-    /// 256-entry SMS as an adjunct to SPP — iso-storage with DSPatch
-    /// (Figures 5 and 14).
-    pub fn sms_iso_plus_spp() -> Box<dyn Prefetcher> {
-        Box::new(crate::any::composites::sms_iso_plus_spp())
-    }
-
-    /// The DSPatch ablation variants of Figure 19.
-    pub fn dspatch_always_covp_plus_spp() -> Box<dyn Prefetcher> {
-        Box::new(crate::any::composites::dspatch_always_covp_plus_spp())
-    }
-
-    /// The ModCovP ablation variant of Figure 19, as an adjunct to SPP.
-    pub fn dspatch_mod_covp_plus_spp() -> Box<dyn Prefetcher> {
-        Box::new(crate::any::composites::dspatch_mod_covp_plus_spp())
-    }
-}

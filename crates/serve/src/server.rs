@@ -9,10 +9,13 @@
 //! the host.
 //!
 //! Drain protocol: [`Server::begin_drain`] flips the state flag, wakes the
-//! runner, and unblocks every acceptor with a dummy self-connection.
-//! Acceptors finish the request in hand and exit; the runner finishes the
-//! queue (accepted work always completes) and exits; [`Server::wait`] joins
-//! everything and returns, letting `main` exit 0.
+//! runner, posts one wake-up per acceptor and unblocks every acceptor with
+//! a dummy self-connection. Until then acceptors keep answering — new work
+//! with 503 once the flag is set — so a drain started by
+//! `POST /admin/shutdown` never leaves the port without an acceptor. Each
+//! acceptor exits after the connection that hands it a wake-up; the runner
+//! finishes the queue (accepted work always completes) and exits;
+//! [`Server::wait`] joins everything and returns, letting `main` exit 0.
 
 use crate::http::{read_request, ChunkedWriter, RequestError, Response};
 use crate::queue::ServeState;
@@ -22,6 +25,7 @@ use dspatch_harness::{HarnessError, Json};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -63,6 +67,9 @@ pub struct Server {
     state: Arc<ServeState>,
     local_addr: SocketAddr,
     acceptors: Vec<JoinHandle<()>>,
+    /// Wake-ups posted by [`Server::begin_drain`]; each one retires one
+    /// acceptor.
+    wakeups: Arc<AtomicUsize>,
     runner: Option<JoinHandle<()>>,
 }
 
@@ -114,6 +121,7 @@ impl Server {
             config.rate_per_sec,
             clock,
         ));
+        let wakeups = Arc::new(AtomicUsize::new(0));
         let mut acceptors = Vec::new();
         for worker in 0..config.http_threads.max(1) {
             let listener = listener
@@ -121,9 +129,10 @@ impl Server {
                 .map_err(|error| HarnessError::io(&*bind_to, "clone listener", &error))?;
             let state = state.clone();
             let limiter = limiter.clone();
+            let wakeups = wakeups.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("serve-http-{worker}"))
-                .spawn(move || accept_loop(&listener, &state, &limiter))
+                .spawn(move || accept_loop(&listener, &state, &limiter, &wakeups))
                 .map_err(|error| HarnessError::io("serve-http", "spawn", &error))?;
             acceptors.push(handle);
         }
@@ -136,6 +145,7 @@ impl Server {
             state,
             local_addr,
             acceptors,
+            wakeups,
             runner: Some(runner),
         })
     }
@@ -156,12 +166,14 @@ impl Server {
         self.state.draining()
     }
 
-    /// Starts the graceful drain; idempotent. Acceptors stop taking
-    /// connections, the runner finishes the queue.
+    /// Starts the graceful drain; idempotent. Acceptors exit, the runner
+    /// finishes the queue.
     pub fn begin_drain(&self) {
         self.state.begin_drain();
-        // Unblock every acceptor parked in accept(): each dummy connection
-        // wakes exactly one.
+        // Post one wake-up per acceptor, then unblock every acceptor parked
+        // in accept(): each dummy connection wakes exactly one.
+        self.wakeups
+            .fetch_add(self.acceptors.len(), Ordering::SeqCst);
         for _ in 0..self.acceptors.len() {
             drop(TcpStream::connect(self.local_addr));
         }
@@ -179,23 +191,30 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>, limiter: &Arc<RateLimiter>) {
+/// Serves connections until a wake-up from [`Server::begin_drain`] is
+/// available. The draining flag alone does not end the loop: an acceptor
+/// that left on it could close the last listener while a client still
+/// expects its 503.
+fn accept_loop(
+    listener: &TcpListener,
+    state: &Arc<ServeState>,
+    limiter: &Arc<RateLimiter>,
+    wakeups: &AtomicUsize,
+) {
     loop {
-        if state.draining() {
-            return;
-        }
         match listener.accept() {
             Ok((stream, peer)) => {
                 // A drain wake-up connection carries no request;
                 // handle_connection reads EOF and returns immediately.
                 handle_connection(stream, &peer, state, limiter);
             }
-            Err(_) => {
-                if state.draining() {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
+        }
+        if wakeups
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            return;
         }
     }
 }

@@ -38,7 +38,7 @@ fn main() {
 
     let run = |kind: PrefetcherKind| {
         SimulationBuilder::new(SystemConfig::single_thread())
-            .with_core(source.fork(), kind.build())
+            .with_core(source.fork(), kind.build_any())
             .run()
     };
     let baseline = run(PrefetcherKind::Baseline);

@@ -308,7 +308,7 @@ fn stream_prefetcher_golden_requests() {
 /// cycles, every cache/DRAM/pollution statistic — must be bit-identical.
 mod cycle_skip {
     use super::*;
-    use dspatch_prefetchers::lineup;
+    use dspatch_prefetchers::any::composites;
     use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
     use dspatch_trace::{Trace, TraceRecord};
 
@@ -316,7 +316,7 @@ mod cycle_skip {
         let mut config = SystemConfig::single_thread();
         config.cycle_skipping = skipping;
         let prefetcher: Box<dyn Prefetcher> = if prefetch {
-            lineup::dspatch_plus_spp()
+            Box::new(composites::dspatch_plus_spp())
         } else {
             Box::new(dspatch_types::NullPrefetcher::new())
         };

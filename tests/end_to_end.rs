@@ -7,6 +7,7 @@ use dspatch_harness::runner::{run_mix, run_workload, PrefetcherKind, RunScale};
 use dspatch_sim::SystemConfig;
 use dspatch_trace::workloads::{category_suite, suite, WorkloadCategory};
 use dspatch_trace::{heterogeneous_mixes, homogeneous_mixes};
+use dspatch_types::Prefetcher;
 
 fn tiny_scale() -> RunScale {
     RunScale {
@@ -120,12 +121,12 @@ fn figure11_analysis_runs_without_simulation() {
 
 #[test]
 fn dspatch_standalone_and_adjunct_have_expected_storage_relationship() {
-    let dspatch = PrefetcherKind::Dspatch.build().storage_bits();
-    let spp = PrefetcherKind::Spp.build().storage_bits();
-    let combined = PrefetcherKind::DspatchPlusSpp.build().storage_bits();
+    let dspatch = PrefetcherKind::Dspatch.build_any().storage_bits();
+    let spp = PrefetcherKind::Spp.build_any().storage_bits();
+    let combined = PrefetcherKind::DspatchPlusSpp.build_any().storage_bits();
     assert_eq!(combined, dspatch + spp);
     // The paper: DSPatch uses less than SPP, and less than 1/20th of SMS.
     assert!(dspatch < spp);
-    let sms = PrefetcherKind::Sms.build().storage_bits();
+    let sms = PrefetcherKind::Sms.build_any().storage_bits();
     assert!(dspatch * 20 < sms);
 }

@@ -12,12 +12,13 @@ use dspatch_trace::{
     collect_source, heterogeneous_mixes, homogeneous_mixes, suite, ChainSource, IntoTraceSource,
     TraceSource,
 };
+use dspatch_types::Prefetcher;
 
 const SMOKE_ACCESSES: usize = 1_200;
 
 fn run_single(source: impl IntoTraceSource, kind: PrefetcherKind) -> SimResult {
     SimulationBuilder::new(SystemConfig::single_thread())
-        .with_core(source, kind.build())
+        .with_core(source, kind.build_any())
         .run()
 }
 
@@ -56,11 +57,11 @@ fn multi_programmed_mixes_stream_bit_identically() {
         for workload in &mix.workloads {
             materialized = materialized.with_core(
                 workload.generate(SMOKE_ACCESSES),
-                PrefetcherKind::DspatchPlusSpp.build(),
+                PrefetcherKind::DspatchPlusSpp.build_any(),
             );
             streamed = streamed.with_core(
                 workload.source(SMOKE_ACCESSES),
-                PrefetcherKind::DspatchPlusSpp.build(),
+                PrefetcherKind::DspatchPlusSpp.build_any(),
             );
         }
         assert_eq!(materialized.run(), streamed.run(), "{}", mix.name);
@@ -81,10 +82,10 @@ fn every_registry_prefetcher_is_bit_identical_between_static_and_boxed_dispatch(
         for workload in &mix.workloads {
             static_dispatch =
                 static_dispatch.with_core(workload.source(SMOKE_ACCESSES), kind.build_any());
-            // `kind.build()` yields Box<dyn Prefetcher>, which converts into
-            // the AnyPrefetcher::Boxed escape hatch.
-            boxed_dispatch =
-                boxed_dispatch.with_core(workload.source(SMOKE_ACCESSES), kind.build());
+            // Boxing the registry prefetcher as `Box<dyn Prefetcher>` routes
+            // it through the AnyPrefetcher::Boxed escape hatch.
+            let boxed: Box<dyn Prefetcher> = Box::new(kind.build_any());
+            boxed_dispatch = boxed_dispatch.with_core(workload.source(SMOKE_ACCESSES), boxed);
         }
         assert!(
             !matches!(kind.build_any(), AnyPrefetcher::Boxed(_)),
