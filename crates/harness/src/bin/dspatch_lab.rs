@@ -6,8 +6,7 @@
 //! ```text
 //! dspatch-lab --figure fig12 [--scale smoke|quick|full] [--format table|json|csv]
 //! dspatch-lab --spec my_campaign.json [--scale ...] [--format ...] [--threads N]
-//! dspatch-lab --spec my_campaign.json --journal run.journal   # crash-safe record
-//! dspatch-lab --spec my_campaign.json --resume run.journal    # skip completed cells
+//! dspatch-lab --spec my_campaign.json --store DIR   # crash-safe; re-run to resume
 //! dspatch-lab --trace-file foo.champsim.txt [--prefetchers spp,dspatch_plus_spp]
 //! dspatch-lab --list        # figures, workloads and scale presets
 //! dspatch-lab --template    # print an example spec file
@@ -36,18 +35,18 @@
 //! those checkpoints on disk across runs. Sampled scales are
 //! single-core-only (mixes are rejected as a spec error).
 //!
-//! `--journal FILE` appends every completed cell to a crash-safe journal;
-//! `--resume FILE` replays completed cells from it and re-executes only the
-//! missing ones, producing bit-identical output to an uninterrupted run.
-//! `--retries N` retries a transiently failing cell up to N extra times
-//! before quarantining it. `--store DIR` opens the content-addressed result
-//! store `dspatch-serve` uses (`DIR/results.jsonl`): cells already present
-//! are served from it and fresh results are appended, so identical cells
-//! never simulate twice across CLI runs or service restarts. Exit codes
-//! follow the `HarnessError` classes:
+//! `--store DIR` opens the content-addressed result store `dspatch-serve`
+//! uses (`DIR/results.jsonl`): cells already present are served from it and
+//! every fresh result is appended and flushed as it completes, so identical
+//! cells never simulate twice across CLI runs or service restarts, and a
+//! campaign killed mid-flight resumes by re-running the same command — only
+//! the missing cells simulate, and the output is bit-identical to an
+//! uninterrupted run. `--retries N` retries a transiently failing cell up to
+//! N extra times before quarantining it. Exit codes follow the
+//! `HarnessError` classes:
 //! 0 success, 1 internal failure, 2 usage error, 3 invalid spec, 4 I/O
-//! failure, 5 corrupt journal, 6 journal/campaign mismatch, 7 campaign
-//! completed with quarantined cells.
+//! failure, 5 corrupt store record, 6 store format/version mismatch, 7
+//! campaign completed with quarantined cells.
 
 // Failures on harness paths carry typed context; panicking helpers are
 // forbidden outside tests.
@@ -73,7 +72,7 @@ fn usage() -> ! {
         "usage: dspatch-lab (--figure NAME | --spec FILE.json | --trace-file FILE | --list | --template)\n\
          \x20                [--scale smoke|quick|full] [--format table|json|csv]\n\
          \x20                [--threads N] [--prefetchers KIND[,KIND...]] [--out PATH]\n\
-         \x20                [--journal FILE | --resume FILE] [--retries N] [--store DIR]\n\
+         \x20                [--retries N] [--store DIR]\n\
          \x20                [--sample warmup=N,interval=N,n=K[,seed=S]] [--checkpoint-dir DIR]\n\
          \x20      dspatch-lab query --store DIR [--where FIELD<OP>VALUE]... [--FIELD VALUE]...\n\
          \x20                [--group-by FIELDS] [--agg FN:METRIC | --trend METRIC] [--all-versions]\n\
@@ -115,8 +114,6 @@ fn main() {
     let mut format_set = false;
     let mut threads: Option<usize> = None;
     let mut out: Option<String> = None;
-    let mut journal: Option<String> = None;
-    let mut resume: Option<String> = None;
     let mut retries: Option<u32> = None;
     let mut store: Option<String> = None;
     let mut sample: Option<String> = None;
@@ -153,8 +150,6 @@ fn main() {
                 )
             }
             "--out" => out = Some(value("--out")),
-            "--journal" => journal = Some(value("--journal")),
-            "--resume" => resume = Some(value("--resume")),
             "--retries" => {
                 retries = Some(
                     value("--retries")
@@ -197,9 +192,6 @@ fn main() {
     if trace_file.is_some() && (scale_name.is_some() || threads.is_some()) {
         fail("--scale/--threads do not apply to --trace-file (the whole trace replays once per prefetcher, single-core)");
     }
-    if journal.is_some() && resume.is_some() {
-        fail("--journal and --resume are mutually exclusive (--resume appends to the same file)");
-    }
     if sample.is_some() && figure.is_none() && spec_path.is_none() {
         // A sampling plan without a run to sample would be silently
         // dropped; refuse (exit 2) like every other misplaced flag.
@@ -211,13 +203,11 @@ fn main() {
     if checkpoint_dir.is_some() && spec_path.is_none() {
         fail("--checkpoint-dir only applies to --spec campaigns");
     }
-    if (journal.is_some() || resume.is_some() || retries.is_some() || store.is_some())
-        && spec_path.is_none()
-    {
+    if (retries.is_some() || store.is_some()) && spec_path.is_none() {
         // Without a campaign these flags would be silently ignored; refuse
         // instead (exit 2) so a typo'd invocation can't masquerade as a
-        // journaled or store-backed run.
-        fail("--journal/--resume/--retries/--store only apply to --spec campaigns");
+        // store-backed run.
+        fail("--retries/--store only apply to --spec campaigns");
     }
     // --list/--template ignore the report-shaping flags entirely; reject the
     // combination rather than silently dropping them (--out is meaningful:
@@ -290,14 +280,6 @@ fn main() {
                 if let Some(extra) = retries {
                     opts.retry.attempts = extra.saturating_add(1);
                 }
-                match (&journal, &resume) {
-                    (Some(path), _) => opts.journal = Some(path.into()),
-                    (None, Some(path)) => {
-                        opts.journal = Some(path.into());
-                        opts.resume = true;
-                    }
-                    (None, None) => {}
-                }
                 if let Some(dir) = &store {
                     let result_store =
                         dspatch_harness::ResultStore::open(std::path::Path::new(dir))
@@ -307,13 +289,12 @@ fn main() {
                 let result = run_campaign_with(&spec, &scale, &opts)
                     .unwrap_or_else(|error| fail_typed(&error));
                 eprintln!(
-                    "campaign '{}': {} rows from {} simulations ({} baselines, {} memo hits, {} replayed from journal, {} from store), {} threads",
+                    "campaign '{}': {} rows from {} simulations ({} baselines, {} memo hits, {} from store), {} threads",
                     result.name,
                     result.rows.len(),
                     result.stats.sims_run,
                     result.stats.baseline_sims,
                     result.stats.memo_hits,
-                    result.stats.journal_hits,
                     result.stats.store_hits,
                     result.stats.threads,
                 );

@@ -29,14 +29,14 @@
 //! [`crate::error::HarnessError`] taxonomy, transient failures retry with a
 //! bounded deterministic backoff ([`RetryPolicy`]), and cells that exhaust
 //! their budget are **quarantined** as [`CellFailure`]s on the result
-//! instead of sinking the whole campaign. With [`ExecOptions::journal`] set,
-//! each completed cell is appended to a crash-safe JSON-lines journal
-//! ([`crate::journal`]) and a resumed campaign re-executes only the missing
-//! cells, producing bit-identical output to an uninterrupted run.
+//! instead of sinking the whole campaign. With [`ExecOptions::store`] set,
+//! each completed cell is appended to the crash-safe result store
+//! ([`crate::store`]), so re-running an interrupted campaign against the
+//! same store re-executes only the missing cells and produces bit-identical
+//! output to an uninterrupted run.
 
 use crate::error::HarnessError;
 use crate::faults::{FaultKind, FaultPlan};
-use crate::journal::{campaign_fingerprint, read_journal, JournalMeta, JournalWriter};
 use crate::json::Json;
 use crate::report::{percent, Table};
 use crate::results::ResultRow;
@@ -944,12 +944,12 @@ pub struct ResolvedCell {
 /// Only the spec-deterministic fields (`sims_run`, `baseline_sims`,
 /// `memo_hits`, `threads`) appear in [`CampaignResult::to_json`]; the
 /// robustness counters below them describe *how* this particular run went
-/// (journal hits, store hits, retries, quarantines) and are deliberately
-/// excluded so a resumed or store-served campaign renders bit-identically
-/// to an uninterrupted, cold-cache one.
+/// (store hits, retries, quarantines) and are deliberately excluded so a
+/// resumed or store-served campaign renders bit-identically to an
+/// uninterrupted, cold-cache one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecStats {
-    /// Deduplicated simulations with a result (fresh or journal-replayed).
+    /// Deduplicated simulations with a result (fresh or store-served).
     pub sims_run: usize,
     /// How many of those were no-L2-prefetcher baselines.
     pub baseline_sims: usize,
@@ -958,10 +958,9 @@ pub struct ExecStats {
     pub memo_hits: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Simulations replayed from a resume journal instead of re-executing.
-    pub journal_hits: usize,
     /// Simulations served from the content-addressed [`crate::store`]
-    /// instead of re-executing (cross-campaign, cross-process memoization).
+    /// instead of re-executing (resume, cross-campaign and cross-process
+    /// memoization).
     pub store_hits: usize,
     /// Extra attempts spent on transiently failing cells.
     pub retries: usize,
@@ -995,7 +994,7 @@ pub struct CampaignRow {
 /// campaign completed without it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellFailure {
-    /// The executor's job key (also the journal key).
+    /// The executor's job key.
     pub key: String,
     /// Target (workload or mix) name.
     pub target: String,
@@ -1272,8 +1271,6 @@ impl RetryPolicy {
 pub enum CellOutcome {
     /// Freshly simulated this run.
     Fresh,
-    /// Replayed from the campaign's resume journal.
-    Journal,
     /// Served from the content-addressed result store.
     Store,
     /// Quarantined after exhausting its retry budget.
@@ -1285,7 +1282,6 @@ impl CellOutcome {
     pub fn label(self) -> &'static str {
         match self {
             CellOutcome::Fresh => "fresh",
-            CellOutcome::Journal => "journal",
             CellOutcome::Store => "store",
             CellOutcome::Quarantined => "quarantined",
         }
@@ -1293,17 +1289,17 @@ impl CellOutcome {
 }
 
 /// One executor progress notification, delivered through
-/// [`ExecOptions::progress`]. Cached cells (journal or store hits) are
+/// [`ExecOptions::progress`]. Cached cells (store hits) are
 /// announced up-front, before the worker pool starts; fresh and quarantined
 /// cells as they finish.
 #[derive(Debug, Clone)]
 pub enum ProgressEvent {
     /// The grid is resolved: `total` deduplicated jobs, of which `cached`
-    /// were satisfied by the journal or store before any worker started.
+    /// were satisfied by the store before any worker started.
     Started {
         /// Deduplicated job count.
         total: usize,
-        /// Jobs already satisfied from the journal or store.
+        /// Jobs already satisfied from the store.
         cached: usize,
     },
     /// One job finished (or was served from a cache).
@@ -1341,25 +1337,21 @@ pub type ProgressSink = std::sync::Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 pub type SharedStore = std::sync::Arc<Mutex<crate::store::ResultStore>>;
 
 /// Execution options for [`run_campaign_with`]: retry budget, optional
-/// fault injection, optional crash-safe journaling, optional durable result
-/// store, optional progress callbacks.
+/// fault injection, optional durable result store, optional progress
+/// callbacks.
 #[derive(Clone, Default)]
 pub struct ExecOptions {
     /// Retry budget per cell.
     pub retry: RetryPolicy,
     /// Deterministic fault injection (tests only; `None` in production).
     pub faults: Option<FaultPlan>,
-    /// Journal file: every completed cell is appended (and flushed) here.
-    pub journal: Option<PathBuf>,
-    /// With `journal` set: replay completed cells from an existing journal
-    /// instead of re-executing them. A missing or empty journal file starts
-    /// fresh, so `resume` is safe to pass unconditionally.
-    pub resume: bool,
     /// Content-addressed durable store: cells whose
     /// [`crate::store::cell_fingerprint`] is present are served from it
     /// (counted in [`ExecStats::store_hits`]), and every fresh result is
-    /// appended to it — so identical cells never simulate twice across
-    /// campaigns, requests, or process restarts.
+    /// appended (and flushed) to it as it completes — so identical cells
+    /// never simulate twice across campaigns, requests, or process
+    /// restarts, and an interrupted campaign resumes by re-running it
+    /// against the same store.
     pub store: Option<SharedStore>,
     /// Progress callback; see [`ProgressEvent`].
     pub progress: Option<ProgressSink>,
@@ -1374,8 +1366,6 @@ impl std::fmt::Debug for ExecOptions {
         f.debug_struct("ExecOptions")
             .field("retry", &self.retry)
             .field("faults", &self.faults)
-            .field("journal", &self.journal)
-            .field("resume", &self.resume)
             .field("store", &self.store.as_ref().map(|_| "<store>"))
             .field("progress", &self.progress.as_ref().map(|_| "<sink>"))
             .field("checkpoint_dir", &self.checkpoint_dir)
@@ -1384,7 +1374,7 @@ impl std::fmt::Debug for ExecOptions {
 }
 
 struct Job {
-    /// Memoization identity; doubles as the journal key.
+    /// Memoization identity.
     key: String,
     /// Content address in the durable store ([`crate::store::cell_fingerprint`]).
     fingerprint: String,
@@ -1453,15 +1443,13 @@ pub fn run_campaign(spec: &CampaignSpec, scale: &RunScale) -> Result<CampaignRes
 }
 
 /// [`run_campaign`] with explicit execution options: retry policy, fault
-/// injection, and crash-safe journaling/resume.
+/// injection, and the crash-safe result store.
 ///
 /// # Errors
 ///
 /// * [`HarnessError::Spec`] — the spec is invalid (unknown workloads,
 ///   duplicate labels, core-count mismatches, ...).
-/// * [`HarnessError::Io`] / [`HarnessError::Corrupt`] /
-///   [`HarnessError::Mismatch`] — the journal cannot be written, is
-///   damaged mid-file, or belongs to a different campaign.
+/// * [`HarnessError::Io`] — the result store cannot be written.
 ///
 /// Quarantined cells are **not** errors: the campaign completes and reports
 /// them in [`CampaignResult::failures`].
@@ -1471,14 +1459,29 @@ pub fn run_campaign_with(
     opts: &ExecOptions,
 ) -> Result<CampaignResult, HarnessError> {
     let cells = resolve_cells(spec, scale).map_err(HarnessError::spec)?;
-    let journal = opts.journal.as_ref().map(|path| {
-        let meta = JournalMeta {
-            campaign: spec.name.clone(),
-            fingerprint: campaign_fingerprint(&spec.to_json(), scale),
-        };
-        (path.clone(), meta)
-    });
-    execute_cells(&spec.name, &cells, scale, opts, journal)
+    execute_cells(&spec.name, &cells, scale, opts)
+}
+
+/// Identity of one `(spec, scale)` campaign, rendered as 16 hex digits:
+/// `dspatch-serve` uses it as the campaign id. `threads` is excluded: it is
+/// a machine knob that never changes results (the executor is
+/// deterministic for any worker count), so the same campaign submitted on
+/// an 8-thread box and a 2-thread one gets the same id.
+pub fn campaign_fingerprint(spec_json: &Json, scale: &RunScale) -> String {
+    let mut identity = format!(
+        "{}|a{}|w{}|m{}",
+        spec_json.render_compact(),
+        scale.accesses_per_workload,
+        scale.workloads_per_category,
+        scale.mixes,
+    );
+    // Sampled and exact runs of the same spec must never alias: the plan
+    // joins the identity, but only when present so exact campaigns keep
+    // their ids.
+    if let Some(plan) = &scale.sampling {
+        identity.push_str(&plan.fingerprint_suffix());
+    }
+    format!("{:016x}", crate::store::fnv1a(identity.as_bytes()))
 }
 
 /// Validates a spec and resolves its cells against the workload suite.
@@ -1582,16 +1585,16 @@ fn resolve_cells(spec: &CampaignSpec, scale: &RunScale) -> Result<Vec<ResolvedCe
 /// silently pool unrelated cells. (Spec files get the same condition as a
 /// clean error from [`run_campaign`] before any work happens.)
 pub fn run_cells(name: &str, cells: &[ResolvedCell], scale: &RunScale) -> CampaignResult {
-    match execute_cells(name, cells, scale, &ExecOptions::default(), None) {
+    match execute_cells(name, cells, scale, &ExecOptions::default()) {
         Ok(result) => result,
-        // The default options configure no journal, so no fallible I/O path
+        // The default options configure no store, so no fallible I/O path
         // exists; cell failures surface as quarantines, not errors.
-        Err(error) => unreachable!("journal-less execution cannot fail: {error}"),
+        Err(error) => unreachable!("store-less execution cannot fail: {error}"),
     }
 }
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned it —
-/// the executor's shared state (journal handle, first-error slot) stays
+/// the executor's shared state (store handle, first-error slot) stays
 /// usable because every write through it is a single self-contained record.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
@@ -1731,7 +1734,6 @@ fn execute_cells(
     cells: &[ResolvedCell],
     scale: &RunScale,
     opts: &ExecOptions,
-    journal: Option<(PathBuf, JournalMeta)>,
 ) -> Result<CampaignResult, HarnessError> {
     let mut labels = std::collections::HashSet::new();
     for cell in cells {
@@ -1810,9 +1812,9 @@ fn execute_cells(
         }
     }
 
-    // Every persisted record — journal line, store row — carries the cell's
-    // identity spelled out as one canonical ResultRow, so the analytics
-    // layer can filter and group without re-deriving anything.
+    // Every store record carries the cell's identity spelled out as one
+    // canonical ResultRow, so the analytics layer can filter and group
+    // without re-deriving anything.
     let sampling_suffix = scale
         .sampling
         .as_ref()
@@ -1831,62 +1833,18 @@ fn execute_cells(
         )
     };
 
-    // Journal replay: completed cells load from the verified journal and
-    // never re-execute. A missing (or not-yet-written) journal starts fresh
-    // so `resume: true` is safe on the first run too.
+    // Store replay: cells already simulated by ANY prior run — an
+    // interrupted run of this campaign, another request's grid or a
+    // previous process incarnation's — load from the content-addressed
+    // store and never re-execute.
     let mut replayed: Vec<Option<SimResult>> = Vec::new();
     replayed.resize_with(jobs.len(), || None);
-    let mut journal_hits = 0usize;
-    let writer = match &journal {
-        None => None,
-        Some((path, meta)) => {
-            let resumable = opts.resume && path.exists();
-            let clean_len = if resumable {
-                let contents = read_journal(path, meta)?;
-                for (slot, job) in replayed.iter_mut().zip(&jobs) {
-                    if let Some(sim) = contents.sims.get(&job.key) {
-                        *slot = Some(sim.clone());
-                        journal_hits += 1;
-                    }
-                }
-                contents.clean_len
-            } else {
-                0
-            };
-            if clean_len == 0 {
-                Some(JournalWriter::create(path, meta)?)
-            } else {
-                Some(JournalWriter::resume(path, clean_len)?)
-            }
-        }
-    };
-    let mut cached_outcome: Vec<Option<CellOutcome>> = replayed
-        .iter()
-        .map(|slot| slot.as_ref().map(|_| CellOutcome::Journal))
-        .collect();
-
-    // Store replay: cells already simulated by ANY prior campaign — this
-    // one's journal aside, another request's grid or a previous process
-    // incarnation's — load from the content-addressed store. Store-served
-    // cells are appended to the journal (if one is active) so its
-    // completeness guarantee holds, and journal-replayed cells are
-    // backfilled into the store so resumed campaigns populate it too.
-    let mut writer = writer;
     let mut store_hits = 0usize;
     if let Some(shared) = &opts.store {
-        let mut store = lock_unpoisoned(shared);
-        for (index, job) in jobs.iter().enumerate() {
-            if let Some(sim) = &replayed[index] {
-                store.insert(&row_of(job, sim))?;
-                continue;
-            }
-            let hit = store.get(&job.fingerprint).cloned();
-            if let Some(sim) = hit {
-                if let Some(writer) = writer.as_mut() {
-                    writer.append_sim(&job.key, &row_of(job, &sim), false)?;
-                }
-                replayed[index] = Some(sim);
-                cached_outcome[index] = Some(CellOutcome::Store);
+        let store = lock_unpoisoned(shared);
+        for (slot, job) in replayed.iter_mut().zip(&jobs) {
+            if let Some(sim) = store.get(&job.fingerprint) {
+                *slot = Some(sim.clone());
                 store_hits += 1;
             }
         }
@@ -1966,21 +1924,17 @@ fn execute_cells(
             total: total_jobs,
             cached,
         });
-        let mut announced = 0usize;
-        for (index, outcome) in cached_outcome.iter().enumerate() {
-            if let Some(outcome) = outcome {
-                announced += 1;
-                let job = &jobs[index];
-                sink(&ProgressEvent::CellFinished {
-                    key: job.key.clone(),
-                    target: job.target.name().to_owned(),
-                    prefetcher: job.sel.label(),
-                    config: job.config_label.clone(),
-                    outcome: *outcome,
-                    completed: announced,
-                    total: total_jobs,
-                });
-            }
+        let hits = jobs.iter().zip(&skip).filter(|(_, &hit)| hit);
+        for (announced, (job, _)) in hits.enumerate() {
+            sink(&ProgressEvent::CellFinished {
+                key: job.key.clone(),
+                target: job.target.name().to_owned(),
+                prefetcher: job.sel.label(),
+                config: job.config_label.clone(),
+                outcome: CellOutcome::Store,
+                completed: announced + 1,
+                total: total_jobs,
+            });
         }
     }
 
@@ -1994,16 +1948,10 @@ fn execute_cells(
     let stop = AtomicBool::new(false);
     let retries = AtomicUsize::new(0);
     let completed = AtomicUsize::new(cached);
-    let journal_sink: Mutex<Option<JournalWriter>> = Mutex::new(writer);
     let write_error: Mutex<Option<HarnessError>> = Mutex::new(None);
 
-    let mut slots: Vec<Option<Result<SimResult, Box<CellFailure>>>> = Vec::new();
-    slots.resize_with(jobs.len(), || None);
-    for (slot, sim) in slots.iter_mut().zip(replayed) {
-        if let Some(sim) = sim {
-            *slot = Some(Ok(sim));
-        }
-    }
+    let mut slots: Vec<Option<Result<SimResult, Box<CellFailure>>>> =
+        replayed.into_iter().map(|sim| sim.map(Ok)).collect();
     let mut worker_panic: Option<HarnessError> = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
@@ -2015,7 +1963,6 @@ fn execute_cells(
             let stop = &stop;
             let retries = &retries;
             let completed = &completed;
-            let journal_sink = &journal_sink;
             let write_error = &write_error;
             let row_of = &row_of;
             handles.push(scope.spawn(move || {
@@ -2034,34 +1981,13 @@ fn execute_cells(
                     }
                     let job = &jobs[index];
                     let outcome = run_job(job, scale, opts, retries);
-                    // One flushed journal record per completed cell: the
-                    // lock is taken after the (multi-second) simulation, so
-                    // it never serializes actual work. A write failure is
-                    // fatal for the campaign (the journal's guarantee is
-                    // gone) — record the first error, stop claiming jobs.
-                    let appended = match lock_unpoisoned(journal_sink).as_mut() {
-                        None => Ok(()),
-                        Some(writer) => match &outcome {
-                            Ok(sim) => {
-                                let corrupt = opts.faults.as_ref().is_some_and(|plan| {
-                                    plan.corrupts_journal(job.target.name(), &job.sel.label())
-                                });
-                                writer.append_sim(&job.key, &row_of(job, sim), corrupt)
-                            }
-                            Err(failure) => {
-                                writer.append_failure(&job.key, &failure.error, failure.attempts)
-                            }
-                        },
-                    };
-                    if let Err(error) = appended {
-                        lock_unpoisoned(write_error).get_or_insert(error);
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    // Durable store append: every fresh result becomes
-                    // addressable by all future campaigns. Like the journal,
-                    // a write failure voids the store's guarantee and is
-                    // fatal for the campaign.
+                    // One flushed store record per fresh result: the lock
+                    // is taken after the (multi-second) simulation, so it
+                    // never serializes actual work, and every result
+                    // becomes addressable by all future runs. A write
+                    // failure voids the store's guarantee and is fatal for
+                    // the campaign — record the first error, stop claiming
+                    // jobs.
                     let stored = match (&opts.store, &outcome) {
                         (Some(shared), Ok(sim)) => lock_unpoisoned(shared)
                             .insert(&row_of(job, sim))
@@ -2172,7 +2098,6 @@ fn execute_cells(
             baseline_sims,
             memo_hits,
             threads,
-            journal_hits,
             store_hits,
             retries: retries.load(Ordering::Relaxed),
             quarantined: failures.len(),
@@ -2678,5 +2603,69 @@ mod tests {
         assert!(Json::parse(&json.render()).is_ok());
         let csv = result.to_csv();
         assert!(csv.starts_with("Cell,Target,Config,Prefetcher"));
+    }
+
+    #[test]
+    fn sampling_plans_change_the_campaign_fingerprint() {
+        let spec = Json::obj([("name", Json::str("fp"))]);
+        let exact = RunScale::smoke();
+        let sampled = RunScale {
+            sampling: Some(SamplingPlan {
+                warmup_accesses: 100,
+                interval_accesses: 10,
+                intervals: 2,
+                seed: 0,
+            }),
+            ..RunScale::smoke()
+        };
+        assert_ne!(
+            campaign_fingerprint(&spec, &exact),
+            campaign_fingerprint(&spec, &sampled)
+        );
+        let reseeded = RunScale {
+            sampling: sampled.sampling.map(|p| SamplingPlan { seed: 9, ..p }),
+            ..sampled
+        };
+        assert_ne!(
+            campaign_fingerprint(&spec, &sampled),
+            campaign_fingerprint(&spec, &reseeded)
+        );
+    }
+
+    #[test]
+    fn fingerprints_ignore_threads_but_track_everything_else() {
+        let spec = Json::obj([("name", Json::str("c"))]);
+        let scale = RunScale {
+            accesses_per_workload: 1000,
+            workloads_per_category: 1,
+            mixes: 1,
+            threads: 8,
+            sampling: None,
+        };
+        // Pinned: dspatch-serve uses this value as the campaign id, so a
+        // change here would re-key every served campaign.
+        assert_eq!(campaign_fingerprint(&spec, &scale), "854967fab3b190d7");
+        assert_eq!(
+            campaign_fingerprint(&CampaignSpec::template().to_json(), &RunScale::smoke()),
+            "bd85fa4082918da6"
+        );
+        let mut rethreaded = scale;
+        rethreaded.threads = 2;
+        assert_eq!(
+            campaign_fingerprint(&spec, &scale),
+            campaign_fingerprint(&spec, &rethreaded),
+            "threads are a machine knob, not an identity"
+        );
+        let mut rescaled = scale;
+        rescaled.accesses_per_workload = 2000;
+        assert_ne!(
+            campaign_fingerprint(&spec, &scale),
+            campaign_fingerprint(&spec, &rescaled)
+        );
+        let other_spec = Json::obj([("name", Json::str("d"))]);
+        assert_ne!(
+            campaign_fingerprint(&spec, &scale),
+            campaign_fingerprint(&other_spec, &scale)
+        );
     }
 }

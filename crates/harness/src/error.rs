@@ -1,8 +1,8 @@
 //! The typed error taxonomy for harness paths — the `HarnessError` the
 //! ROADMAP's `dspatch-serve` item stacks on.
 //!
-//! Every fallible harness operation (spec validation, journal I/O, cell
-//! execution) classifies its failures into one [`HarnessError`] variant, and
+//! Every fallible harness operation (spec validation, result-store I/O,
+//! cell execution) classifies its failures into one [`HarnessError`] variant, and
 //! each variant maps to a stable [`ErrorClass`] with a dedicated
 //! `dspatch-lab` exit code, so scripts driving campaigns can branch on the
 //! failure mode without string-matching stderr. Cell-level failures carry
@@ -19,9 +19,9 @@ pub enum ErrorClass {
     Spec,
     /// OS-level I/O failure on a harness file (exit 4).
     Io,
-    /// A corrupt journal or result record (exit 5).
+    /// A corrupt result-store record (exit 5).
     Corrupt,
-    /// A journal that belongs to a different campaign or code version
+    /// A result-store file with a foreign format or an unsupported version
     /// (exit 6).
     Mismatch,
     /// One or more cells were quarantined after exhausting retries; the
@@ -43,8 +43,7 @@ impl ErrorClass {
         }
     }
 
-    /// Stable lower-case label (used in journal failure records and JSON
-    /// reports).
+    /// Stable lower-case label (used in JSON reports and error bodies).
     pub fn label(self) -> &'static str {
         match self {
             ErrorClass::Spec => "spec",
@@ -65,7 +64,8 @@ pub enum HarnessError {
         /// What is wrong with it.
         message: String,
     },
-    /// An OS-level I/O failure on a harness file (journal, spec, trace).
+    /// An OS-level I/O failure on a harness file (result store, spec,
+    /// trace, report).
     Io {
         /// The file the operation targeted.
         path: String,
@@ -74,25 +74,26 @@ pub enum HarnessError {
         /// The underlying error, rendered.
         message: String,
     },
-    /// A structurally corrupt journal record.
+    /// A structurally corrupt record before the final line of a crash-safe
+    /// log (a torn final line is the crash case and is dropped instead).
     Corrupt {
-        /// The journal file.
+        /// The damaged file.
         path: String,
         /// 1-based line number of the bad record.
         line: u64,
         /// What is wrong with it.
         message: String,
     },
-    /// The journal belongs to a different campaign, scale, or code version
-    /// than the resuming run.
+    /// A file whose header names a different format or an unsupported
+    /// version than this code reads; it is never silently overwritten.
     Mismatch {
-        /// The journal file.
+        /// The mismatched file.
         path: String,
-        /// The differing field (`"fingerprint"`, `"campaign"`, ...).
+        /// The differing header field (`"store"`, `"version"`, ...).
         field: &'static str,
-        /// The value the resuming run expects.
+        /// The value this code expects.
         expected: String,
-        /// The value the journal holds.
+        /// The value the file holds.
         found: String,
     },
     /// A cell's simulation panicked.
@@ -151,7 +152,7 @@ impl HarnessError {
         }
     }
 
-    /// JSON form for reports and journal failure records: always an object
+    /// JSON form for reports and error bodies: always an object
     /// with `class` and `message`, plus the variant's structured fields.
     pub fn to_json(&self) -> Json {
         let mut entries = vec![
@@ -200,7 +201,7 @@ impl std::fmt::Display for HarnessError {
                 path,
                 line,
                 message,
-            } => write!(f, "{path}:{line}: corrupt journal record: {message}"),
+            } => write!(f, "{path}:{line}: corrupt record: {message}"),
             HarnessError::Mismatch {
                 path,
                 field,
@@ -208,8 +209,8 @@ impl std::fmt::Display for HarnessError {
                 found,
             } => write!(
                 f,
-                "{path}: journal {field} mismatch: journal has '{found}', \
-                 this run has '{expected}'"
+                "{path}: {field} mismatch: file has '{found}', \
+                 this code expects '{expected}'"
             ),
             HarnessError::CellPanic { job, message } => {
                 write!(f, "cell {job} panicked: {message}")
@@ -280,13 +281,23 @@ mod tests {
     #[test]
     fn display_carries_the_context() {
         let err = HarnessError::Corrupt {
-            path: "run.journal".to_owned(),
+            path: "store/results.jsonl".to_owned(),
             line: 17,
             message: "truncated record".to_owned(),
         };
         assert_eq!(
             err.to_string(),
-            "run.journal:17: corrupt journal record: truncated record"
+            "store/results.jsonl:17: corrupt record: truncated record"
+        );
+        let mismatch = HarnessError::Mismatch {
+            path: "store/results.jsonl".to_owned(),
+            field: "version",
+            expected: "2".to_owned(),
+            found: "9".to_owned(),
+        };
+        assert_eq!(
+            mismatch.to_string(),
+            "store/results.jsonl: version mismatch: file has '9', this code expects '2'"
         );
         let quarantined = HarnessError::Quarantined {
             job: "hpc:stream_1:SPP@1T".to_owned(),
@@ -306,7 +317,7 @@ mod tests {
     #[test]
     fn json_form_is_structured() {
         let err = HarnessError::Mismatch {
-            path: "run.journal".to_owned(),
+            path: "store/results.jsonl".to_owned(),
             field: "fingerprint",
             expected: "abc".to_owned(),
             found: "def".to_owned(),

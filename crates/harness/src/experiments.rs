@@ -8,8 +8,9 @@
 //! (shared-queue parallelism, baselines memoized per (target, config)),
 //! and the function aggregates the resulting speedups into its
 //! figure-shaped report. The absolute numbers come from the
-//! synthetic-workload substitution documented in `DESIGN.md`;
-//! `EXPERIMENTS.md` records the measured values next to the paper's.
+//! synthetic-workload substitution described at the top of the README
+//! (and in the `dspatch-trace` crate docs), so they track the paper's
+//! trends rather than its exact values.
 
 use crate::campaign::{
     run_campaign, CampaignResult, CampaignSpec, CellSpec, ConfigSpec, PrefetcherSel, TargetSelector,
@@ -20,7 +21,7 @@ use dspatch::{CompressedPattern, DsPatch, DsPatchConfig, SpatialPattern, Storage
 use dspatch_sim::{DramConfig, DramSpeedGrade, SystemConfig};
 use dspatch_trace::workloads::{category_suite, suite, WorkloadCategory};
 use dspatch_trace::TraceSource;
-use dspatch_types::{Prefetcher, LINES_PER_PAGE};
+use dspatch_types::Prefetcher;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -956,7 +957,6 @@ pub fn dspatch_introspection(scale: &RunScale) -> Table {
         "SPT occupancy".into(),
         format!("{:.1}%", prefetcher.spt().occupancy() * 100.0),
     ]);
-    let _ = LINES_PER_PAGE; // referenced for documentation purposes
     table
 }
 

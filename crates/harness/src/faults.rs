@@ -1,12 +1,14 @@
 //! Deterministic fault injection for the campaign executor.
 //!
-//! A [`FaultPlan`] poisons chosen `(target, prefetcher)` cells with panics,
-//! I/O errors, or corrupt journal records at fixed points: a fault either
-//! fires on every attempt (proving quarantine) or only on the first `n`
-//! attempts (proving bounded retry). Plans are immutable and consulted with
-//! pure lookups, so a faulted campaign is exactly as deterministic as a
-//! clean one — the integration tests in `tests/fault_tolerance.rs` rely on
-//! that to assert bit-identical resume output.
+//! A [`FaultPlan`] poisons chosen `(target, prefetcher)` cells with panics
+//! or I/O errors at fixed points: a fault either fires on every attempt
+//! (proving quarantine) or only on the first `n` attempts (proving bounded
+//! retry). Plans are immutable and consulted with pure lookups, so a
+//! faulted campaign is exactly as deterministic as a clean one — the
+//! integration tests in `tests/fault_tolerance.rs` rely on that to assert
+//! that re-running a faulted campaign against its result store converges
+//! bit-identically on the clean result. Damage to the store itself is
+//! injected by editing its file, as a crash would.
 //!
 //! Production campaigns never construct a plan; the executor's fault hook
 //! is `None` and every lookup short-circuits.
@@ -31,10 +33,6 @@ pub enum Fault {
         /// Attempts that fail before the cell recovers.
         failures: u32,
     },
-    /// Let the simulation succeed but make the journal writer emit a
-    /// mangled record for it: exercises the resume-time corruption
-    /// detection.
-    CorruptJournal,
 }
 
 /// How a fired fault manifests inside the executor.
@@ -48,7 +46,6 @@ pub enum FaultKind {
 
 impl Fault {
     /// Whether this fault fires on the given 1-based attempt, and how.
-    /// `CorruptJournal` never fails the simulation itself.
     pub fn fires_on(&self, attempt: u32) -> Option<FaultKind> {
         match self {
             Fault::Panic => Some(FaultKind::Panic),
@@ -57,7 +54,6 @@ impl Fault {
             }
             Fault::Io => Some(FaultKind::Io),
             Fault::TransientIo { failures } => (attempt <= *failures).then_some(FaultKind::Io),
-            Fault::CorruptJournal => None,
         }
     }
 }
@@ -71,8 +67,8 @@ struct FaultEntry {
     fault: Fault,
 }
 
-/// An immutable set of poisoned cells, consulted by the executor (per
-/// attempt) and the journal writer (per record).
+/// An immutable set of poisoned cells, consulted by the executor per
+/// attempt.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     entries: Vec<FaultEntry>,
@@ -117,14 +113,6 @@ impl FaultPlan {
             .and_then(|fault| fault.fires_on(attempt))
     }
 
-    /// Whether the journal record for this cell should be mangled.
-    pub fn corrupts_journal(&self, target: &str, prefetcher: &str) -> bool {
-        matches!(
-            self.fault_for(target, prefetcher),
-            Some(Fault::CorruptJournal)
-        )
-    }
-
     /// Whether the plan poisons anything at all.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -148,7 +136,6 @@ mod tests {
             Some(FaultKind::Io)
         );
         assert_eq!(Fault::TransientIo { failures: 1 }.fires_on(2), None);
-        assert_eq!(Fault::CorruptJournal.fires_on(1), None);
     }
 
     #[test]
@@ -166,19 +153,18 @@ mod tests {
     }
 
     #[test]
-    fn later_entries_override_and_corruption_is_queryable() {
+    fn later_entries_override_earlier_ones() {
         let plan = FaultPlan::new().poison("w", "SPP", Fault::Panic).poison(
             "w",
             "SPP",
-            Fault::CorruptJournal,
+            Fault::TransientIo { failures: 1 },
         );
-        assert_eq!(plan.fault_for("w", "SPP"), Some(Fault::CorruptJournal));
-        assert!(plan.corrupts_journal("w", "SPP"));
-        assert!(!plan.corrupts_journal("w", "Baseline"));
         assert_eq!(
-            plan.arm("w", "SPP", 1),
-            None,
-            "corruption never fails the sim"
+            plan.fault_for("w", "SPP"),
+            Some(Fault::TransientIo { failures: 1 })
         );
+        assert_eq!(plan.arm("w", "SPP", 1), Some(FaultKind::Io));
+        assert_eq!(plan.arm("w", "SPP", 2), None, "the override recovers");
+        assert_eq!(plan.fault_for("w", "Baseline"), None);
     }
 }

@@ -39,7 +39,6 @@ pub mod error;
 pub mod experiments;
 pub mod faults;
 pub mod figures;
-pub mod journal;
 pub mod json;
 pub mod perf;
 pub mod report;
@@ -56,7 +55,6 @@ pub use campaign::{
 pub use error::{ErrorClass, HarnessError};
 pub use faults::{Fault, FaultPlan};
 pub use figures::FigureId;
-pub use journal::{JournalMeta, JournalWriter};
 pub use json::{Json, JsonError, JsonErrorKind};
 pub use report::Table;
 pub use results::ResultRow;

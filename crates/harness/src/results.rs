@@ -1,19 +1,17 @@
 //! The one canonical result-row schema every persistence and reporting
 //! layer serializes through.
 //!
-//! Before this module existed the repository carried three divergent
-//! renderings of the same fact — "this (workload, prefetcher, config,
-//! scale, code version) cell produced these stats": the crash-safe journal
-//! lines, the content-addressed store records, and the hand-maintained
-//! perf-snapshot shape. [`ResultRow`] spells the cell identity out as
-//! typed fields (the exact components of
-//! [`crate::store::cell_fingerprint_sampled`], which remains the content
-//! address), carries the full exactly-serialized [`SimResult`], and tags
-//! itself with a schema version so on-disk formats can evolve without a
-//! flag day: legacy (schema 1) records — the PR 8/9 `{"cell": ...}` store
-//! lines and `{"sim": {"key", "result"}}` journal lines — upgrade on read
-//! into rows with empty identity fields, and everything written from now
-//! on is a schema-2 row.
+//! Every fact the harness persists has the shape "this (workload,
+//! prefetcher, config, scale, code version) cell produced these stats".
+//! [`ResultRow`] spells the cell identity out as typed fields (the exact
+//! components of [`crate::store::cell_fingerprint_sampled`], which remains
+//! the content address), carries the full exactly-serialized
+//! [`SimResult`], and tags itself with a schema version so the on-disk
+//! format can evolve without a flag day: legacy (schema 1) `{"cell": ...}`
+//! store records upgrade on read into rows with empty identity fields, and
+//! everything written now is a schema-2 row. The result store
+//! ([`crate::store`]) is the one crash-safe log of these rows, and the
+//! analytics layer queries them.
 //!
 //! The `SimResult` round-trip is exact: `u64` counters encode as JSON
 //! numbers below 2^53 and as decimal strings above, `f64` fields rely on
@@ -21,7 +19,8 @@
 //! `sampling` block is absent (never `null`) on exact runs — so a row
 //! parsed from a legacy file re-renders its `result` sub-object
 //! byte-identically (`tests/schema_upgrade.rs` proves it against committed
-//! fixtures).
+//! fixtures), and a campaign re-run from the store renders bit-identically
+//! to an uninterrupted one (`tests/fault_tolerance.rs`).
 
 use crate::json::Json;
 use dspatch_sim::stats::{IntervalEstimate, SamplingStats};
@@ -453,20 +452,88 @@ mod tests {
                     prefetches_unused: 12,
                 },
             }],
-            llc: CacheStats::default(),
+            llc: CacheStats {
+                demand_hits: 99,
+                ..CacheStats::default()
+            },
             dram: DramStats {
-                cas_commands: 13,
+                cas_commands: 1 << 54, // above 2^53: exercises the string form
                 row_hits: 14,
                 row_misses: 15,
                 prefetch_accesses: 16,
-                utilization_sum: 0.25,
+                utilization_sum: 0.1 + 0.2, // a value with no short decimal form
                 windows: 17,
             },
-            pollution: PollutionBreakdown::default(),
-            cycles: 654_321,
-            cache_geometry: Vec::new(),
+            pollution: PollutionBreakdown {
+                no_reuse: 18,
+                prefetched_before_use: 19,
+                bad_pollution: 20,
+            },
+            cycles: 987_654_321,
+            cache_geometry: vec![CacheGeometry {
+                name: "LLC".to_owned(),
+                requested_bytes: 2 << 20,
+                ways: 16,
+                sets: 2048,
+                effective_bytes: 2 << 20,
+                rounded: false,
+            }],
             sampling: None,
         }
+    }
+
+    fn sampled_sim() -> SimResult {
+        SimResult {
+            sampling: Some(SamplingStats {
+                warmup_accesses: 2_000_000,
+                interval_accesses: 200_000,
+                intervals: 10,
+                seed: 3,
+                ipc: IntervalEstimate {
+                    mean: 1.25,
+                    ci95: 0.04,
+                },
+                coverage: IntervalEstimate {
+                    mean: 0.5,
+                    ci95: 0.01,
+                },
+                accuracy: IntervalEstimate {
+                    mean: 0.75,
+                    ci95: 0.02,
+                },
+            }),
+            ..sample_sim()
+        }
+    }
+
+    #[test]
+    fn sim_results_round_trip_exactly() {
+        let sim = sample_sim();
+        let json = sim_result_to_json(&sim);
+        // Through a full render/parse cycle, like a real store line.
+        let reparsed = Json::parse(&json.render_compact()).expect("renders valid JSON");
+        let back = sim_result_from_json(&reparsed).expect("parses back");
+        assert_eq!(back, sim);
+        assert_eq!(
+            back.dram.utilization_sum.to_bits(),
+            sim.dram.utilization_sum.to_bits()
+        );
+        assert_eq!(back.dram.cas_commands, 1 << 54);
+        // Byte parity for exact runs: the optional sampling key must be
+        // absent, not null, so pre-sampling records stay byte-identical.
+        assert!(!json.render_compact().contains("sampling"));
+    }
+
+    #[test]
+    fn sampled_sim_results_round_trip_with_cis() {
+        let sim = sampled_sim();
+        let json = sim_result_to_json(&sim);
+        let reparsed = Json::parse(&json.render_compact()).expect("renders valid JSON");
+        let back = sim_result_from_json(&reparsed).expect("parses back");
+        assert_eq!(back, sim);
+        let stats = back.sampling.expect("sampling survives the round trip");
+        assert_eq!(stats.intervals, 10);
+        assert!((stats.ipc.ci95 - 0.04).abs() < 1e-12);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl SamplingPlan {
         (self.interval_accesses * u64::from(self.intervals)) as f64 / total_accesses as f64
     }
 
-    /// Stable fingerprint suffix appended to journal and store identities
+    /// Stable fingerprint suffix appended to campaign and store identities
     /// so sampled and exact results of the same cell never alias.
     pub fn fingerprint_suffix(&self) -> String {
         format!(
@@ -437,7 +437,7 @@ pub fn checkpoint_token(target_key: &str, config: &SystemConfig, plan: &Sampling
         config,
         plan.warmup_accesses
     );
-    format!("{:016x}", crate::journal::fnv1a(identity.as_bytes()))
+    format!("{:016x}", crate::store::fnv1a(identity.as_bytes()))
 }
 
 #[cfg(test)]

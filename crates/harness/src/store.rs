@@ -1,15 +1,16 @@
-//! Content-addressed, append-only result store: the durable cross-campaign
-//! memo table behind `dspatch-serve` and `dspatch-lab --store`.
+//! Content-addressed, append-only result store: the one crash-safe log of
+//! simulated cells, and the durable cross-campaign memo table behind
+//! `dspatch-serve` and `dspatch-lab --store`.
 //!
-//! Where a [`crate::journal`] binds to **one** `(spec, scale)` identity so a
-//! crashed campaign can resume, the store is campaign-agnostic: every record
-//! is keyed by a [`cell_fingerprint`] — FNV-1a over the `(code version,
-//! target, prefetcher, config, accesses-per-workload)` identity of
+//! Every record is keyed by a [`cell_fingerprint`] — FNV-1a over the `(code
+//! version, target, prefetcher, config, accesses-per-workload)` identity of
 //! one simulation cell — so *any* campaign, submitted by *any* request or
-//! process incarnation, that reaches an already-simulated cell is served from
-//! disk instead of re-simulating. The format follows the journal's crash-safe
-//! discipline: one flushed JSON line per record, a torn final line silently
-//! truncated on open, mid-file damage a typed [`HarnessError::Corrupt`].
+//! process incarnation, that reaches an already-simulated cell is served
+//! from disk instead of re-simulating. That is also how an interrupted
+//! campaign resumes: re-running it against the same store re-simulates only
+//! the cells the store does not hold yet. The format is crash-safe: one
+//! flushed JSON line per record, a torn final line silently truncated on
+//! open, mid-file damage a typed [`HarnessError::Corrupt`].
 //!
 //! Since format version 2 each record is a canonical
 //! [`ResultRow`] (`{"row": {...}}`) carrying the fingerprint identity
@@ -25,7 +26,6 @@
 //! eventually reclaimed.
 
 use crate::error::HarnessError;
-use crate::journal::fnv1a;
 use crate::json::Json;
 use crate::results::{sim_result_from_json, ResultRow};
 use dspatch_sim::{SimResult, SystemConfig};
@@ -46,6 +46,18 @@ pub const STORE_FILE: &str = "results.jsonl";
 /// simulated by older code are never served for newer code (or vice versa).
 pub fn code_version() -> &'static str {
     env!("CARGO_PKG_VERSION")
+}
+
+/// FNV-1a 64-bit over a byte stream — stable, dependency-free fingerprint.
+/// The one fingerprint hash: cell, campaign and checkpoint identities all
+/// go through it.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 /// Orders version strings by their dotted numeric segments (`0.10.0` after
@@ -574,6 +586,128 @@ mod tests {
         let err = ResultStore::open(&dir).expect_err("mid-file damage");
         assert!(
             matches!(err, HarnessError::Corrupt { line: 2, .. }),
+            "{err:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes records `a` and `b` to a fresh store in `dir` and returns their
+    /// fingerprints.
+    fn two_record_store(dir: &Path) -> (String, String) {
+        let fp_a = cell_fingerprint("w:a", "Kind(Spp)", &SystemConfig::single_thread(), 32);
+        let fp_b = cell_fingerprint("w:b", "Kind(Spp)", &SystemConfig::single_thread(), 32);
+        let mut store = ResultStore::open(dir).expect("open");
+        store
+            .insert(&row_for(&fp_a, "a", "SPP", "0.1.0"))
+            .expect("insert a");
+        store
+            .insert(&row_for(&fp_b, "b", "SPP", "0.1.0"))
+            .expect("insert b");
+        (fp_a, fp_b)
+    }
+
+    #[test]
+    fn write_reopen_read_cycle_keeps_every_record() {
+        let dir = temp_dir("cycle");
+        let (fp_a, fp_b) = two_record_store(&dir);
+        let path = dir.join(STORE_FILE);
+        let before = std::fs::read(&path).expect("read");
+        assert_eq!(before.iter().filter(|&&b| b == b'\n').count(), 3);
+        let store = ResultStore::open(&dir).expect("reopen");
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.get_row(&fp_a).expect("a").workload, "a");
+        assert_eq!(store.get_row(&fp_b).expect("b").workload, "b");
+        drop(store);
+        // A clean file is its own clean prefix: reopening changes no byte.
+        assert_eq!(std::fs::read(&path).expect("reread"), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_final_line_is_dropped_and_truncated_on_reopen() {
+        let dir = temp_dir("torn_reopen");
+        let (fp_a, fp_b) = two_record_store(&dir);
+        let path = dir.join(STORE_FILE);
+        // Tear the final line mid-record, like a kill -9 mid-write.
+        let bytes = std::fs::read(&path).expect("read");
+        let torn_len = bytes.len() - 40;
+        std::fs::write(&path, &bytes[..torn_len]).expect("tear");
+        let mut store = ResultStore::open(&dir).expect("torn tail is tolerated");
+        assert_eq!(store.len(), 1, "only the intact record survives");
+        assert!(store.get(&fp_a).is_some());
+        // Opening truncates the tail so appends start on a clean boundary.
+        let clean_len = std::fs::metadata(&path).expect("stat").len();
+        assert!((clean_len as usize) < torn_len);
+        assert!(store
+            .insert(&row_for(&fp_b, "b", "SPP", "0.1.0"))
+            .expect("re-append b"));
+        drop(store);
+        let store = ResultStore::open(&dir).expect("reopen healed");
+        assert_eq!(store.len(), 2);
+        assert!(store.get(&fp_b).is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mid_file_corruption_is_a_typed_error_with_line_number() {
+        let dir = temp_dir("midfile");
+        two_record_store(&dir);
+        let path = dir.join(STORE_FILE);
+        let text = std::fs::read_to_string(&path).expect("read");
+        let lines: Vec<&str> = text.lines().collect();
+        // Cut record `a` (line 2) in half; record `b` after it stays intact.
+        let mangled = format!(
+            "{}\n{}\n{}\n",
+            lines[0],
+            &lines[1][..lines[1].len() / 2],
+            lines[2]
+        );
+        std::fs::write(&path, &mangled).expect("mangle");
+        let err = ResultStore::open(&dir).expect_err("must reject");
+        match &err {
+            HarnessError::Corrupt { line, .. } => assert_eq!(*line, 2),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let text = err.to_string();
+        assert!(text.contains("results.jsonl:2: corrupt record"), "{text}");
+        // Damage is reported, never repaired by truncation.
+        assert_eq!(std::fs::read_to_string(&path).expect("reread"), mangled);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn foreign_files_are_a_mismatch_not_garbage() {
+        let dir = temp_dir("foreign_kinds");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let path = dir.join(STORE_FILE);
+        // Another tool's file under our name is never overwritten.
+        let foreign = "{\"store\": \"something-else\", \"version\": 2}\n";
+        std::fs::write(&path, foreign).expect("write");
+        let err = ResultStore::open(&dir).expect_err("foreign magic");
+        assert!(
+            matches!(err, HarnessError::Mismatch { field: "store", .. }),
+            "{err:?}"
+        );
+        assert_eq!(std::fs::read_to_string(&path).expect("reread"), foreign);
+        // Our magic under a format version this code cannot read.
+        let future = format!("{{\"store\": \"{STORE_MAGIC}\", \"version\": 99}}\n");
+        std::fs::write(&path, future).expect("write");
+        let err = ResultStore::open(&dir).expect_err("future version");
+        assert!(
+            matches!(
+                err,
+                HarnessError::Mismatch {
+                    field: "version",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // A file that is not JSON at all is corrupt even on line 1.
+        std::fs::write(&path, "not a store\n").expect("write");
+        let err = ResultStore::open(&dir).expect_err("garbage");
+        assert!(
+            matches!(err, HarnessError::Corrupt { line: 1, .. }),
             "{err:?}"
         );
         std::fs::remove_dir_all(&dir).ok();

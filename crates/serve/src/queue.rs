@@ -1,8 +1,8 @@
 //! The campaign registry and asynchronous job queue feeding the harness
 //! executor.
 //!
-//! A submitted spec resolves to a campaign **id** — the PR 7
-//! `campaign_fingerprint` over its normalized JSON and resolved scale — so
+//! A submitted spec resolves to a campaign **id** — the harness's
+//! [`campaign_fingerprint`] over its normalized JSON and resolved scale — so
 //! resubmitting an identical `(spec, scale)` is idempotent: the second
 //! request attaches to the first campaign instead of enqueueing new work.
 //! One runner thread drains the bounded queue a campaign at a time (the
@@ -17,9 +17,9 @@
 //! store hit they re-materialize without a single simulator invocation.
 
 use dspatch_harness::campaign::{
-    run_campaign_with, CampaignResult, CampaignSpec, ExecOptions, ProgressEvent,
+    campaign_fingerprint, run_campaign_with, CampaignResult, CampaignSpec, ExecOptions,
+    ProgressEvent,
 };
-use dspatch_harness::journal::campaign_fingerprint;
 use dspatch_harness::runner::RunScale;
 use dspatch_harness::store::ResultStore;
 use dspatch_harness::{HarnessError, Json, SharedStore};
@@ -43,7 +43,7 @@ pub enum Phase {
     Running,
     /// Completed; results available.
     Done,
-    /// The executor returned a typed error (bad spec, store/journal I/O).
+    /// The executor returned a typed error (bad spec, store I/O).
     Failed,
 }
 
@@ -150,12 +150,17 @@ impl Campaign {
                         Json::num(result.stats.baseline_sims as f64),
                     ),
                     ("memo_hits", Json::num(result.stats.memo_hits as f64)),
-                    ("journal_hits", Json::num(result.stats.journal_hits as f64)),
                     ("store_hits", Json::num(result.stats.store_hits as f64)),
-                    ("fresh_sims", {
-                        let cached = result.stats.journal_hits + result.stats.store_hits;
-                        Json::num(result.stats.sims_run.saturating_sub(cached) as f64)
-                    }),
+                    (
+                        "fresh_sims",
+                        Json::num(
+                            result
+                                .stats
+                                .sims_run
+                                .saturating_sub(result.stats.store_hits)
+                                as f64,
+                        ),
+                    ),
                     ("threads", Json::num(result.stats.threads as f64)),
                 ]),
             ));

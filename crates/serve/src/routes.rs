@@ -1,9 +1,9 @@
 //! Request routing: URL space → campaign registry / result store / queue.
 //!
 //! Every endpoint answers JSON. Harness failures map onto HTTP statuses
-//! through the PR 7 error taxonomy ([`error_status`]), mirroring the
+//! through the harness error taxonomy ([`error_status`]), mirroring the
 //! `dspatch-lab` exit-code table: spec errors are the client's fault (400),
-//! journal/store identity conflicts are 409, everything else on the error
+//! store format/version conflicts are 409, everything else on the error
 //! path is the server's problem (500).
 
 use crate::http::{Request, Response};
@@ -29,7 +29,7 @@ pub fn error_status(error: &HarnessError) -> u16 {
     match error.class() {
         // The submitted spec is at fault.
         ErrorClass::Spec => 400,
-        // The store/journal on disk belongs to different code or campaign.
+        // The store on disk has a foreign format or an unsupported version.
         ErrorClass::Mismatch => 409,
         // I/O failures, corruption, and cell panics are server-side.
         ErrorClass::Io | ErrorClass::Corrupt | ErrorClass::Cell => 500,

@@ -85,7 +85,7 @@ fn percent_encode(text: &str) -> String {
 #[test]
 fn round_trip_parity_and_zero_resimulation() {
     // The ground truth: the exact bytes `dspatch-lab --spec --format json`
-    // would print (no store, no journal — the plain CLI path).
+    // would print (no store — the plain CLI path).
     let spec = CampaignSpec::parse(SPEC).expect("spec parses");
     let scale = spec
         .scale

@@ -7,7 +7,8 @@
 //! category (streaming, strided, spatially-clustered with out-of-order
 //! reordering, sparse-irregular, pointer-chasing, code-heavy), so that the
 //! relative behaviour of the prefetchers — the quantity every figure reports
-//! — is preserved. See `DESIGN.md` for the substitution rationale.
+//! — is preserved. The README's opening paragraph states the same
+//! substitution for readers of the figures.
 //!
 //! * [`TraceRecord`] / [`Trace`] — the trace representation consumed by the
 //!   simulator (`dspatch-sim`).

@@ -64,7 +64,6 @@ fn misplaced_flags_are_usage_errors_not_silently_ignored() {
     // floor; each must now exit 2 with a usage message.
     for args in [
         &["--figure", "table1", "--retries", "2"] as &[&str],
-        &["--figure", "table1", "--resume", "run.journal"],
         &["--figure", "table1", "--store", "store-dir"],
         &["--list", "--retries", "2"],
     ] {
@@ -88,14 +87,90 @@ fn misplaced_flags_are_usage_errors_not_silently_ignored() {
             "dspatch-lab {args:?}: {stderr}"
         );
     }
-    // A flag the CLI does not know is a usage error, never a silent no-op.
-    let args = ["--figure", "fig17", "--parallel-cores", "2"];
-    let (code, stderr) = dspatch_lab_fails(&args);
-    assert_eq!(code, 2, "dspatch-lab {args:?}: {stderr}");
-    assert!(
-        stderr.contains("unknown argument: --parallel-cores"),
-        "dspatch-lab {args:?}: {stderr}"
+    // A flag the CLI does not know is a usage error, never a silent no-op,
+    // retired flags included.
+    for (flag, value) in [
+        ("--parallel-cores", "2"),
+        ("--journal", "run.journal"),
+        ("--resume", "run.journal"),
+    ] {
+        let args = ["--spec", "spec.json", flag, value];
+        let (code, stderr) = dspatch_lab_fails(&args);
+        assert_eq!(code, 2, "dspatch-lab {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument: {flag}")),
+            "dspatch-lab {args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_torn_store_resumes_byte_identically_and_mid_file_damage_exits_5() {
+    let spec = r#"{
+        "name": "cli store",
+        "scale": {"accesses_per_workload": 500, "workloads_per_category": 1, "mixes": 0, "threads": 2},
+        "cells": [{
+            "label": "hpc",
+            "targets": {"category": "hpc"},
+            "prefetchers": ["spp", "bop"],
+            "config": {"base": "single_thread"},
+            "baseline": true
+        }]
+    }"#;
+    let dir = std::env::temp_dir().join(format!("dspatch-lab-cli-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec_path = dir.join("spec.json");
+    std::fs::write(&spec_path, spec).expect("write spec");
+    let store_dir = dir.join("store");
+    let store_file = store_dir.join("results.jsonl");
+    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_owned();
+    let run = |out: &std::path::Path| {
+        dspatch_lab(&[
+            "--spec",
+            &path(&spec_path),
+            "--format",
+            "json",
+            "--store",
+            &path(&store_dir),
+            "--out",
+            &path(out),
+        ])
+    };
+
+    let full = dir.join("full.json");
+    run(&full);
+    // Crash: drop the last whole record, then tear the next one mid-bytes.
+    let bytes = std::fs::read(&store_file).expect("store readable");
+    let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+    assert!(lines.len() >= 4, "expected meta + 3 records");
+    let kept = &lines[..lines.len() - 2];
+    let torn = lines[lines.len() - 2];
+    let mut damaged: Vec<u8> = kept.concat();
+    damaged.extend_from_slice(&torn[..torn.len() / 2]);
+    std::fs::write(&store_file, damaged).expect("tear store");
+
+    let resumed = dir.join("resumed.json");
+    run(&resumed);
+    assert_eq!(
+        std::fs::read(&full).expect("full output"),
+        std::fs::read(&resumed).expect("resumed output"),
+        "re-running on a torn store must reproduce the uninterrupted bytes"
     );
+
+    // Damage line 2 with whole records after it: corruption, exit 5.
+    let text = std::fs::read_to_string(&store_file).expect("store readable");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let half = lines[1].len() / 2;
+    lines[1].truncate(half);
+    let damaged: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    std::fs::write(&store_file, damaged).expect("damage store");
+    let (code, stderr) =
+        dspatch_lab_fails(&["--spec", &path(&spec_path), "--store", &path(&store_dir)]);
+    assert_eq!(code, 5, "{stderr}");
+    assert!(stderr.contains("results.jsonl:2"), "{stderr}");
+    assert!(!stderr.to_lowercase().contains("journal"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Fault-tolerance integration tests: per-job isolation and quarantine,
-//! bounded deterministic retry, crash-safe journaling, and kill-and-resume
-//! parity — a campaign interrupted mid-flight and resumed from its journal
+//! bounded deterministic retry, and kill-and-resume parity — a campaign
+//! interrupted mid-flight and re-run against its crash-safe result store
 //! must produce **bit-identical** output (rows, sims, rendered JSON/CSV,
 //! and the spec-deterministic executor stats) to an uninterrupted run.
 //!
@@ -13,8 +13,10 @@ use dspatch_harness::campaign::{
     ExecOptions, PrefetcherSel, RetryPolicy, TargetSelector,
 };
 use dspatch_harness::runner::{PrefetcherKind, RunScale};
-use dspatch_harness::{Fault, FaultPlan, HarnessError};
-use std::path::PathBuf;
+use dspatch_harness::store::STORE_FILE;
+use dspatch_harness::{Fault, FaultPlan, HarnessError, ResultStore};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 fn tiny() -> RunScale {
     RunScale {
@@ -44,11 +46,32 @@ fn spec() -> CampaignSpec {
     )
 }
 
-fn temp_journal(label: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "dspatch_fault_tolerance_{label}_{}.jsonl",
+/// A fresh, empty store directory per test.
+fn temp_store(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "dspatch_fault_tolerance_{label}_{}",
         std::process::id()
-    ))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// One run against the store in `dir`, opened fresh like a new process
+/// would, and closed again when the run returns.
+fn run_with_store(
+    spec: &CampaignSpec,
+    scale: &RunScale,
+    dir: &Path,
+    faults: Option<FaultPlan>,
+) -> CampaignResult {
+    let store = ResultStore::open(dir).expect("store opens");
+    let opts = ExecOptions {
+        retry: fast_retry(),
+        faults,
+        store: Some(Arc::new(Mutex::new(store))),
+        ..ExecOptions::default()
+    };
+    run_campaign_with(spec, scale, &opts).expect("campaign runs")
 }
 
 /// Fast retries so transient-fault tests don't sleep for real.
@@ -216,45 +239,35 @@ fn transient_faults_retry_and_converge_to_the_clean_result() {
 fn kill_and_resume_is_bit_identical_to_an_uninterrupted_run() {
     let spec = spec();
     let scale = tiny();
-    let path = temp_journal("kill_resume");
-    let _ = std::fs::remove_file(&path);
+    let dir = temp_store("kill_resume");
 
-    // The uninterrupted reference: journaled, fault-free.
-    let opts = ExecOptions {
-        journal: Some(path.clone()),
-        ..ExecOptions::default()
-    };
-    let reference = run_campaign_with(&spec, &scale, &opts).expect("clean journaled run");
+    // The uninterrupted reference: store-backed, fault-free.
+    let reference = run_with_store(&spec, &scale, &dir, None);
     assert!(reference.failures.is_empty());
+    assert_eq!(reference.stats.store_hits, 0);
 
     // "Kill" the campaign mid-flight: keep the meta line and the first two
     // completed-cell records, as if the process died before the rest.
-    let full = std::fs::read_to_string(&path).expect("journal readable");
+    let path = dir.join(STORE_FILE);
+    let full = std::fs::read_to_string(&path).expect("store readable");
     let lines: Vec<&str> = full.lines().collect();
     assert!(lines.len() >= 4, "expected meta + >=3 records");
     let truncated: String = lines[..3].iter().map(|line| format!("{line}\n")).collect();
-    std::fs::write(&path, truncated).expect("truncate journal");
+    std::fs::write(&path, truncated).expect("truncate store");
 
-    // Resume: only the missing cells re-execute.
-    let opts = ExecOptions {
-        journal: Some(path.clone()),
-        resume: true,
-        ..ExecOptions::default()
-    };
-    let resumed = run_campaign_with(&spec, &scale, &opts).expect("resumed run");
-    assert_eq!(resumed.stats.journal_hits, 2, "two cells replayed");
+    // Re-run: only the missing cells re-execute.
+    let resumed = run_with_store(&spec, &scale, &dir, None);
+    assert_eq!(
+        resumed.stats.store_hits, 2,
+        "two cells served from the store"
+    );
     assert_bit_identical(&resumed, &reference);
 
-    // The journal is whole again: a second resume replays everything.
-    let opts = ExecOptions {
-        journal: Some(path.clone()),
-        resume: true,
-        ..ExecOptions::default()
-    };
-    let replayed = run_campaign_with(&spec, &scale, &opts).expect("fully replayed run");
-    assert_eq!(replayed.stats.journal_hits, replayed.stats.sims_run);
+    // The store is whole again: a second re-run serves everything.
+    let replayed = run_with_store(&spec, &scale, &dir, None);
+    assert_eq!(replayed.stats.store_hits, replayed.stats.sims_run);
     assert_bit_identical(&replayed, &reference);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -263,148 +276,95 @@ fn a_mid_campaign_panic_resumes_into_the_clean_result() {
     let scale = tiny();
     let reference = run_campaign(&spec, &scale).expect("clean run");
     let target = reference.rows[0].target.clone();
-    let path = temp_journal("panic_resume");
-    let _ = std::fs::remove_file(&path);
+    let dir = temp_store("panic_resume");
 
-    // First run: journaled, with one cell poisoned to panic every attempt.
-    // The campaign completes with that cell quarantined; the journal holds
-    // every *other* cell plus a failure record.
-    let opts = ExecOptions {
-        retry: fast_retry(),
-        faults: Some(FaultPlan::new().poison(
-            target.clone(),
-            PrefetcherKind::Spp.label(),
-            Fault::Panic,
-        )),
-        journal: Some(path.clone()),
-        ..ExecOptions::default()
-    };
-    let faulted = run_campaign_with(&spec, &scale, &opts).expect("faulted run completes");
+    // First run: store-backed, with one cell poisoned to panic every
+    // attempt. The campaign completes with that cell quarantined; the store
+    // holds every *other* cell.
+    let faults = FaultPlan::new().poison(target, PrefetcherKind::Spp.label(), Fault::Panic);
+    let faulted = run_with_store(&spec, &scale, &dir, Some(faults));
     assert_eq!(faulted.failures.len(), 1);
 
-    // Resume without the fault: exactly the quarantined cell re-executes
-    // (failure records never replay), and the merged result is bit-identical
-    // to the uninterrupted fault-free run.
-    let opts = ExecOptions {
-        journal: Some(path.clone()),
-        resume: true,
-        ..ExecOptions::default()
-    };
-    let resumed = run_campaign_with(&spec, &scale, &opts).expect("resumed run");
+    // Re-run without the fault: exactly the quarantined cell re-executes
+    // (quarantines are never stored), and the merged result is
+    // bit-identical to the uninterrupted fault-free run.
+    let resumed = run_with_store(&spec, &scale, &dir, None);
     assert!(resumed.failures.is_empty());
     assert_eq!(
-        resumed.stats.journal_hits,
+        resumed.stats.store_hits,
         resumed.stats.sims_run - 1,
         "only the quarantined cell re-executed"
     );
     assert_bit_identical(&resumed, &reference);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn a_torn_journal_tail_is_recovered_on_resume() {
+fn a_torn_store_tail_is_recovered_on_rerun() {
     let spec = spec();
     let scale = tiny();
-    let path = temp_journal("torn_tail");
-    let _ = std::fs::remove_file(&path);
-
-    let opts = ExecOptions {
-        journal: Some(path.clone()),
-        ..ExecOptions::default()
-    };
-    let reference = run_campaign_with(&spec, &scale, &opts).expect("clean journaled run");
+    let dir = temp_store("torn_tail");
+    let reference = run_with_store(&spec, &scale, &dir, None);
 
     // Tear the final record mid-bytes — the kill -9 signature.
-    let bytes = std::fs::read(&path).expect("journal readable");
+    let path = dir.join(STORE_FILE);
+    let bytes = std::fs::read(&path).expect("store readable");
     std::fs::write(&path, &bytes[..bytes.len() - 25]).expect("tear");
 
-    let opts = ExecOptions {
-        journal: Some(path.clone()),
-        resume: true,
-        ..ExecOptions::default()
-    };
-    let resumed = run_campaign_with(&spec, &scale, &opts).expect("resumed run");
-    assert!(resumed.stats.journal_hits >= 1);
+    let resumed = run_with_store(&spec, &scale, &dir, None);
+    assert_eq!(
+        resumed.stats.store_hits,
+        resumed.stats.sims_run - 1,
+        "only the torn cell re-executed"
+    );
     assert_bit_identical(&resumed, &reference);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn resuming_under_a_different_scale_is_a_typed_mismatch() {
+fn a_different_scale_misses_the_store_but_a_different_thread_count_does_not() {
     let spec = spec();
     let scale = tiny();
-    let path = temp_journal("mismatch");
-    let _ = std::fs::remove_file(&path);
+    let dir = temp_store("rescale");
+    run_with_store(&spec, &scale, &dir, None);
 
-    let opts = ExecOptions {
-        journal: Some(path.clone()),
-        ..ExecOptions::default()
-    };
-    run_campaign_with(&spec, &scale, &opts).expect("clean journaled run");
-
-    // A different access count is a different campaign identity...
+    // A different access count is a different cell identity: nothing from
+    // the first run may be served for it...
     let mut rescaled = scale;
     rescaled.accesses_per_workload = 700;
-    let opts = ExecOptions {
-        journal: Some(path.clone()),
-        resume: true,
-        ..ExecOptions::default()
-    };
-    let err = run_campaign_with(&spec, &rescaled, &opts).expect_err("must refuse");
-    assert!(
-        matches!(
-            err,
-            HarnessError::Mismatch {
-                field: "fingerprint",
-                ..
-            }
-        ),
-        "got {err:?}"
-    );
+    let result = run_with_store(&spec, &rescaled, &dir, None);
+    assert_eq!(result.stats.store_hits, 0);
 
     // ...but a different thread count is not: results never depend on it.
     let mut rethreaded = scale;
     rethreaded.threads = 1;
-    let resumed = run_campaign_with(&spec, &rethreaded, &opts).expect("threads are a machine knob");
-    assert_eq!(resumed.stats.journal_hits, resumed.stats.sims_run);
-    std::fs::remove_file(&path).ok();
+    let result = run_with_store(&spec, &rethreaded, &dir, None);
+    assert_eq!(result.stats.store_hits, result.stats.sims_run);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn mid_file_journal_corruption_is_a_typed_error_on_resume() {
+fn mid_file_store_damage_is_a_typed_error_on_rerun() {
     let spec = spec();
     let scale = tiny();
-    let path = temp_journal("corrupt");
-    let _ = std::fs::remove_file(&path);
+    let dir = temp_store("corrupt");
+    run_with_store(&spec, &scale, &dir, None);
 
-    // The CorruptJournal fault lets the simulation succeed but mangles its
-    // journal record. Poisoning the baseline of the first target puts the
-    // damage early in the file (single worker keeps the order exact), so on
-    // resume it is *mid-file* corruption — a hard error, unlike a torn tail.
-    let mut serial = scale;
-    serial.threads = 1;
-    let target = dspatch_trace::suite()[0].name.clone();
-    let opts = ExecOptions {
-        faults: Some(FaultPlan::new().poison(
-            target,
-            PrefetcherKind::Baseline.label(),
-            Fault::CorruptJournal,
-        )),
-        journal: Some(path.clone()),
-        ..ExecOptions::default()
-    };
-    let result = run_campaign_with(&spec, &serial, &opts).expect("corruption is write-side only");
-    assert!(result.failures.is_empty());
+    // Cut the first record (line 2) in half: with whole records after it,
+    // this is *mid-file* corruption — a hard error, unlike a torn tail.
+    let path = dir.join(STORE_FILE);
+    let text = std::fs::read_to_string(&path).expect("store readable");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    assert!(lines.len() >= 3, "expected meta + >=2 records");
+    let half = lines[1].len() / 2;
+    lines[1].truncate(half);
+    let damaged: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    std::fs::write(&path, damaged).expect("damage store");
 
-    let opts = ExecOptions {
-        journal: Some(path.clone()),
-        resume: true,
-        ..ExecOptions::default()
-    };
-    let err = run_campaign_with(&spec, &serial, &opts).expect_err("must refuse");
+    let err = ResultStore::open(&dir).expect_err("must refuse");
     match &err {
         HarnessError::Corrupt { line, .. } => assert_eq!(*line, 2),
         other => panic!("expected Corrupt, got {other:?}"),
     }
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,14 +1,13 @@
 //! Schema-upgrade guarantees for the unified result schema.
 //!
-//! `tests/fixtures/` holds byte-exact store/journal files written by the
-//! **previous** release's writers (store v1 `{"cell": ...}` records,
-//! journal v1 `{"sim": {"key", "result"}}` records), plus torn-tail
-//! variants simulating a crash mid-append. These tests prove the current
-//! readers load them through the `ResultRow` upgrade path and that the
-//! result payloads re-render **bit-for-bit** — if a serializer change ever
-//! breaks compatibility with shipped files, these fail first.
+//! `tests/fixtures/` holds byte-exact store files written by the
+//! **previous** release's writer (store v1 `{"cell": ...}` records), plus a
+//! torn-tail variant simulating a crash mid-append. These tests prove the
+//! current reader loads them through the `ResultRow` upgrade path and that
+//! the result payloads re-render **bit-for-bit** — if a serializer change
+//! ever breaks compatibility with shipped files, these fail first.
 
-use dspatch_harness::journal::{read_journal, sim_result_to_json, JournalMeta};
+use dspatch_harness::results::sim_result_to_json;
 use dspatch_harness::{Json, ResultRow, ResultStore};
 use std::path::{Path, PathBuf};
 
@@ -104,76 +103,4 @@ fn store_v1_torn_tail_is_dropped_and_store_stays_appendable() {
     assert!(!row.is_legacy());
     assert_eq!(row.workload, "linpack");
     assert!(store_path.exists());
-}
-
-#[test]
-fn journal_v1_sims_load_and_rerender_bit_for_bit() {
-    let path = fixture("journal_v1.jsonl");
-    let text = std::fs::read_to_string(&path).expect("read fixture");
-    let meta_line = text.lines().next().expect("meta line");
-    let meta_json = Json::parse(meta_line).expect("meta parses");
-    let meta = JournalMeta {
-        campaign: meta_json
-            .get("campaign")
-            .and_then(Json::as_str)
-            .expect("campaign")
-            .to_owned(),
-        fingerprint: meta_json
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .expect("fingerprint")
-            .to_owned(),
-    };
-
-    let contents = read_journal(&path, &meta).expect("v1 journal reads");
-    assert_eq!(contents.sims.len(), 2, "both fixture sims load");
-    assert!(contents.failures.is_empty());
-    assert_eq!(
-        contents.clean_len,
-        text.len() as u64,
-        "whole fixture is a clean prefix"
-    );
-
-    for line in text.lines().skip(1) {
-        let parsed = Json::parse(line).expect("fixture line parses");
-        let sim = parsed.get("sim").expect("sim record");
-        let key = sim.get("key").and_then(Json::as_str).expect("job key");
-        let result = contents
-            .sims
-            .get(key)
-            .unwrap_or_else(|| panic!("sim {key} loaded"));
-        let rebuilt = Json::obj([(
-            "sim",
-            Json::obj([
-                ("key", Json::str(key)),
-                ("result", sim_result_to_json(result)),
-            ]),
-        )])
-        .render_compact();
-        assert_eq!(rebuilt, line, "sim {key} re-renders bit-for-bit");
-    }
-}
-
-#[test]
-fn journal_v1_torn_tail_is_tolerated() {
-    let path = fixture("journal_v1_torn.jsonl");
-    let text = std::fs::read_to_string(&path).expect("read fixture");
-    let meta_json = Json::parse(text.lines().next().expect("meta line")).expect("meta parses");
-    let meta = JournalMeta {
-        campaign: meta_json
-            .get("campaign")
-            .and_then(Json::as_str)
-            .expect("campaign")
-            .to_owned(),
-        fingerprint: meta_json
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .expect("fingerprint")
-            .to_owned(),
-    };
-    let contents = read_journal(&path, &meta).expect("torn v1 journal reads");
-    assert_eq!(contents.sims.len(), 1, "torn final record dropped");
-    // Clean prefix = meta line + first complete record (with newlines).
-    let clean: u64 = text.lines().take(2).map(|line| line.len() as u64 + 1).sum();
-    assert_eq!(contents.clean_len, clean);
 }
