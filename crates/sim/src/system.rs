@@ -33,7 +33,7 @@ use crate::config::SystemConfig;
 use crate::dram::Dram;
 use crate::snapshot::MachineState;
 use crate::stats::{CoreResult, PollutionBreakdown, PrefetchAccounting, SimResult};
-use crate::tables::{LineSet, LineTable, ReadyQueue, Slot};
+use crate::tables::{LineTable, ReadyQueue, Slot};
 use dspatch_prefetchers::{AnyPrefetcher, StrideConfig, StridePrefetcher};
 use dspatch_trace::{IntoTraceSource, TraceRecord, TraceSource};
 use dspatch_types::{
@@ -46,7 +46,13 @@ use std::collections::BinaryHeap;
 /// Extra cycles charged for traversing the on-die interconnect to DRAM on
 /// top of the cache probe latencies.
 const DRAM_REQUEST_OVERHEAD: u64 = 10;
-/// Upper bound on tracked pollution victims (memory guard).
+/// Upper bound on tracked pollution victim lines. Victims past it are not
+/// tracked, so their re-demands are not counted. It bounds the victim set's
+/// memory: 2^20 victims on 2^20 distinct pages would need 2^21 page slots
+/// of 16 B (32 MiB). Clustered victims need far less: the 3M-access
+/// `uni_dspatch_spp` benchmark trace leaves about 10^6 victim lines on
+/// 66,818 pages (its 2^16-page spatial working set plus the other phases),
+/// held in 2^18 slots (4 MiB).
 const POLLUTION_TRACK_CAP: usize = 1 << 20;
 
 #[derive(Debug, Clone, Copy)]
@@ -172,23 +178,84 @@ impl std::fmt::Debug for CoreState {
     }
 }
 
+/// Lines evicted from the LLC by a prefetch fill and not re-demanded yet,
+/// held as one 64-bit line mask per 4 KB page. Victims cluster (about 16
+/// per page on the `uni_dspatch_spp` benchmark trace), so neighbours share
+/// a slot, and a page whose mask empties gives its slot back. Membership
+/// is all the state there is: the set holds exactly the lines a line-keyed
+/// set would, in a fraction of the slots.
+#[derive(Debug)]
+struct VictimSet {
+    /// Page number → mask of that page's victim lines (never zero).
+    pages: LineTable<u64>,
+    /// Victim lines over all pages.
+    lines: usize,
+}
+
+impl VictimSet {
+    fn with_page_capacity(pages: usize) -> Self {
+        Self {
+            pages: LineTable::with_capacity(pages, 0),
+            lines: 0,
+        }
+    }
+
+    /// Number of victim lines (not pages).
+    fn len(&self) -> usize {
+        self.lines
+    }
+
+    /// Inserts `line`; returns whether it was newly added.
+    fn insert(&mut self, line: LineAddr) -> bool {
+        let bit = 1u64 << line.page_offset();
+        let added = match self.pages.slot(line.page().as_u64()) {
+            Slot::Occupied(mask) => {
+                let added = *mask & bit == 0;
+                *mask |= bit;
+                added
+            }
+            Slot::Vacant(slot) => {
+                slot.insert(bit);
+                true
+            }
+        };
+        self.lines += usize::from(added);
+        added
+    }
+
+    /// Removes `line`; returns whether it was present.
+    fn remove(&mut self, line: LineAddr) -> bool {
+        let page = line.page().as_u64();
+        let bit = 1u64 << line.page_offset();
+        let Some(mask) = self.pages.get_mut(page) else {
+            return false;
+        };
+        if *mask & bit == 0 {
+            return false;
+        }
+        *mask &= !bit;
+        if *mask == 0 {
+            self.pages.remove(page);
+        }
+        self.lines -= 1;
+        true
+    }
+}
+
 #[derive(Debug)]
 struct PollutionTracker {
-    /// Lines evicted from the LLC by a prefetch fill and not re-demanded
-    /// yet. A set, not a map: membership is the only state. Open-addressed —
-    /// this is probed on every demand that leaves the L2.
-    victims: LineSet,
+    /// Probed on every demand that leaves the L2.
+    victims: VictimSet,
     counts: PollutionBreakdown,
 }
 
 impl Default for PollutionTracker {
     fn default() -> Self {
         Self {
-            // Pre-size past the typical victim population so common runs
-            // never pay a rehash. Pollution-heavy runs can still grow the
-            // set (up to POLLUTION_TRACK_CAP) and amortize rehashes then;
-            // pre-sizing to the full 1M cap would cost ~10 MB per machine.
-            victims: LineSet::with_capacity(1 << 16),
+            // 2^13 page slots (128 KiB), written by every `Machine::new`
+            // and `begin_interval`. Runs with more victim pages grow the
+            // set and amortize the rehashes.
+            victims: VictimSet::with_page_capacity(1 << 12),
             counts: PollutionBreakdown::default(),
         }
     }
@@ -197,12 +264,12 @@ impl Default for PollutionTracker {
 impl PollutionTracker {
     fn record_prefetch_victim(&mut self, line: LineAddr) {
         if self.victims.len() < POLLUTION_TRACK_CAP {
-            self.victims.insert(line.as_u64());
+            self.victims.insert(line);
         }
     }
 
     fn observe_demand(&mut self, line: LineAddr, went_to_dram: bool) {
-        if self.victims.remove(line.as_u64()) {
+        if self.victims.remove(line) {
             if went_to_dram {
                 self.counts.bad_pollution += 1;
             } else {
@@ -1759,6 +1826,84 @@ mod tests {
             no_reuse > bad,
             "dead victims should dominate true pollution"
         );
+    }
+
+    /// Differential-tests the page-mask victim set against a line-keyed
+    /// `HashSet` through a clustered insert/remove churn (512 pages, so
+    /// most pages hold many victims), then drains it: a page's last
+    /// removal frees its slot, and `len` counts lines, not pages.
+    #[test]
+    fn victim_set_behaves_like_a_line_set() {
+        let mut set = VictimSet::with_page_capacity(16);
+        let seeded = set.pages.slots();
+        let mut reference = std::collections::HashSet::new();
+        let mut state = 0x0123_4567_89AB_CDEF_u64;
+        let distinct_pages = |reference: &std::collections::HashSet<u64>| {
+            reference
+                .iter()
+                .map(|line| line >> 6)
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
+        for step in 0..200_000u32 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let line = (state >> 40) % (512 * 64);
+            if state >> 63 == 0 {
+                assert_eq!(set.insert(LineAddr::new(line)), reference.insert(line));
+            } else {
+                assert_eq!(set.remove(LineAddr::new(line)), reference.remove(&line));
+            }
+            assert_eq!(set.len(), reference.len());
+            if step.is_multiple_of(1000) {
+                assert_eq!(set.pages.len(), distinct_pages(&reference));
+            }
+        }
+        assert!(
+            set.len() > 16 * set.pages.len(),
+            "{} lines on {} pages",
+            set.len(),
+            set.pages.len()
+        );
+
+        let mut per_page = std::collections::HashMap::new();
+        for &line in &reference {
+            *per_page.entry(line >> 6).or_insert(0usize) += 1;
+        }
+        let mut live: Vec<u64> = reference.iter().copied().collect();
+        live.sort_unstable();
+        for line in live {
+            let pages_before = set.pages.len();
+            assert!(set.remove(LineAddr::new(line)));
+            assert!(!set.remove(LineAddr::new(line)));
+            reference.remove(&line);
+            assert_eq!(set.len(), reference.len());
+            let left_on_page = per_page.get_mut(&(line >> 6)).expect("page counted");
+            *left_on_page -= 1;
+            let page_emptied = *left_on_page == 0;
+            assert_eq!(set.pages.len(), pages_before - usize::from(page_emptied));
+        }
+        assert_eq!(set.len(), 0);
+        assert!(set.pages.is_empty());
+        assert_eq!(set.pages.slots(), seeded);
+    }
+
+    /// Past `POLLUTION_TRACK_CAP` victims, new victims are not tracked: they
+    /// count neither as no-reuse nor as pollution when re-demanded.
+    #[test]
+    fn pollution_tracking_stops_at_the_cap() {
+        let mut tracker = PollutionTracker::default();
+        for line in 0..POLLUTION_TRACK_CAP as u64 + 10 {
+            tracker.record_prefetch_victim(LineAddr::new(line));
+        }
+        let late = LineAddr::new(POLLUTION_TRACK_CAP as u64 + 5);
+        tracker.observe_demand(late, true);
+        tracker.observe_demand(late, false);
+        let counts = tracker.finish();
+        assert_eq!(counts.no_reuse, POLLUTION_TRACK_CAP as u64);
+        assert_eq!(counts.bad_pollution, 0);
+        assert_eq!(counts.prefetched_before_use, 0);
     }
 
     #[test]
